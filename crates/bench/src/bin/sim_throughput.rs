@@ -1,11 +1,13 @@
 //! Experiment ETPT — interpreter throughput (simulated MIPS) across the
-//! telemetry capture levels, on three execution paths:
+//! telemetry capture levels, on the three [`Engine`]s:
 //!
-//! * **baseline** — every cache off (`set_fast_path(false)`): fetch,
+//! * **baseline** — [`Engine::Reference`], every cache off: fetch,
 //!   decode and a full EA-MPU scan per instruction;
-//! * **fast** — the PR 3 fast path (predecode table, EA-MPU grant
-//!   cache, batched device ticks) with the superblock cache disabled;
-//! * **block** — the full fast path plus the superblock trace engine:
+//! * **fast** — [`Engine::Predecode`], the per-instruction fast path
+//!   (predecode table, EA-MPU grant cache, batched device ticks) with
+//!   superblock dispatch off;
+//! * **block** — [`Engine::Superblock`], the full fast path plus the
+//!   superblock trace engine:
 //!   straight-line runs execute as cached micro-op vectors through the
 //!   const-generic block loop.
 //!
@@ -33,7 +35,7 @@ use trustlite::ObsLevel;
 use trustlite_bench::state_digest;
 use trustlite_bench::throughput::{build_workload, WORKLOADS};
 use trustlite_bench::timing::{is_noisy, thread_cpu_ns, wall_cpu_ratio};
-use trustlite_cpu::RunExit;
+use trustlite_cpu::{Engine, RunExit};
 
 const LEVELS: [(ObsLevel, &str); 4] = [
     (ObsLevel::Off, "Off"),
@@ -42,15 +44,8 @@ const LEVELS: [(ObsLevel, &str); 4] = [
     (ObsLevel::Full, "Full"),
 ];
 
-/// The three execution paths, in reporting order.
-#[derive(Clone, Copy, PartialEq)]
-enum Path {
-    Baseline,
-    Fast,
-    Block,
-}
-
-const PATHS: [Path; 3] = [Path::Baseline, Path::Fast, Path::Block];
+/// The three engines, in reporting order.
+const ENGINES: [Engine; 3] = [Engine::Reference, Engine::Predecode, Engine::Superblock];
 
 /// Timed repetitions per configuration; the fastest is reported. The
 /// three paths are interleaved so a noisy stretch of host time cannot
@@ -66,10 +61,9 @@ struct RunStats {
     cpu_ms: f64,
 }
 
-fn run_single(workload: &str, level: ObsLevel, path: Path, steps: u64) -> RunStats {
+fn run_single(workload: &str, level: ObsLevel, engine: Engine, steps: u64) -> RunStats {
     let mut p = build_workload(workload, level);
-    p.machine.sys.set_fast_path(path != Path::Baseline);
-    p.machine.sys.set_superblocks(path == Path::Block);
+    p.machine.sys.set_engine(engine);
     let t0 = Instant::now();
     let c0 = thread_cpu_ns();
     let exit = p.run(steps);
@@ -115,8 +109,8 @@ fn fold_best(best: &mut Option<RunStats>, stats: RunStats, workload: &str) {
 fn measure(workload: &str, level: ObsLevel, steps: u64) -> [RunStats; 3] {
     let mut best: [Option<RunStats>; 3] = [None, None, None];
     for _ in 0..REPS {
-        for (slot, path) in best.iter_mut().zip(PATHS) {
-            fold_best(slot, run_single(workload, level, path, steps), workload);
+        for (slot, engine) in best.iter_mut().zip(ENGINES) {
+            fold_best(slot, run_single(workload, level, engine, steps), workload);
         }
     }
     best.map(Option::unwrap)

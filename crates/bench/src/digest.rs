@@ -1,9 +1,11 @@
-//! Architectural-state digest shared by the determinism regression and
-//! the throughput harness.
+//! Architectural-state digest shared by the determinism regression, the
+//! throughput harness and the fleet engine (which concatenates one per
+//! device, in device order, into the fleet digest).
 //!
-//! Both need the same notion of "the machine ended in the same place":
-//! cycle and instruction counters, the full register file, and the first
-//! pages of SRAM (where every macro workload keeps its mutable state).
+//! All of them need the same notion of "the machine ended in the same
+//! place": cycle and instruction counters, the full register file, and
+//! the first pages of SRAM (where every macro workload keeps its mutable
+//! state).
 //! Anything the fast paths could corrupt without tripping a counter
 //! comparison — a stale predecoded word, a mis-replayed store — shows up
 //! here as a digest mismatch.

@@ -502,8 +502,8 @@ impl Platform {
     /// behaviour). Contents are unchanged; the switch is architecturally
     /// invisible (it goes through `device_mut`, so `host_gen` bumps and
     /// derived caches re-validate, exactly like any host-side touch).
-    /// Dense/sparse fleets must produce byte-identical digests — CI's
-    /// `fork-identity` job holds this line.
+    /// Dense/sparse fleets must produce byte-identical digests — the
+    /// fleet's `dense_sparse_props` tests hold this line.
     pub fn set_dense_memory(&mut self, dense: bool) -> Result<(), TrustliteError> {
         let bus = &mut self.machine.sys.bus;
         bus.device_mut::<Rom>("prom")
@@ -519,17 +519,6 @@ impl Platform {
             .ok_or(TrustliteError::Snapshot("dram"))?
             .set_dense(dense);
         Ok(())
-    }
-
-    /// Switches the CPU's predecode and superblock tables between
-    /// `Arc`-shared snapshots (the default: fork is an Arc bump over
-    /// resident chunks, mutation clones only the touched chunk) and the
-    /// private reference mode (snapshots deep-copy every resident
-    /// chunk — the pre-sharing behaviour). Architecturally invisible
-    /// either way; shared/private fleets must produce byte-identical
-    /// digests — CI's `fork-identity` job holds this line.
-    pub fn set_private_code_caches(&mut self, private: bool) {
-        self.machine.sys.set_private_code_caches(private);
     }
 
     /// Host-side materialized bytes across the platform's devices (see

@@ -34,5 +34,5 @@ pub use fault::Fault;
 pub use machine::{ExcRecord, ExtUnit, HaltReason, HwConfig, Machine, RunExit, StepOutcome};
 pub use predecode::{BlockStats, PredecodeStats};
 pub use regs::{Flags, RegFile};
-pub use sysbus::SystemBus;
+pub use sysbus::{Engine, SystemBus};
 pub use ttable::{TrustletRow, TT_ROW_BYTES};

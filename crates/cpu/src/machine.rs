@@ -10,7 +10,7 @@ use crate::costs;
 use crate::fault::Fault;
 use crate::predecode::{DataMemo, MicroOp};
 use crate::regs::{Flags, RegFile};
-use crate::sysbus::SystemBus;
+use crate::sysbus::{Engine, SystemBus};
 use crate::ttable::{self, TrustletRow};
 use crate::vectors;
 
@@ -434,7 +434,7 @@ impl Machine {
     /// path: its predicate is specified to be evaluated after every step
     /// event.
     pub fn run(&mut self, max_steps: u64) -> RunExit {
-        if self.sys.superblocks_on() {
+        if self.sys.engine() == Engine::Superblock {
             self.run_blocks(max_steps);
         } else {
             self.run_inner(max_steps, |m| m.halted.is_some());

@@ -44,8 +44,8 @@
 //!
 //! `set_private(true)` switches a table into the *private* reference
 //! mode: snapshots deep-copy every resident chunk instead of Arc-bumping
-//! it, reproducing the pre-sharing fork behaviour for differential runs
-//! (the fleet's `--private-code` flag).
+//! it, reproducing the pre-sharing fork behaviour for differential tests
+//! (`SystemBus::set_private_code_caches`).
 
 use std::sync::Arc;
 
@@ -113,7 +113,6 @@ pub struct Predecode {
     /// Chunked entry storage; `None` = every entry invalid. Shared with
     /// snapshots via `Arc`, unshared per chunk on first write.
     chunks: Vec<Option<Arc<PdChunk>>>,
-    enabled: bool,
     /// Reference mode: snapshots deep-copy resident chunks instead of
     /// sharing them (see the module docs).
     private: bool,
@@ -126,7 +125,6 @@ impl Default for Predecode {
     fn default() -> Self {
         Predecode {
             chunks: vec![None; ENTRIES / PD_CHUNK],
-            enabled: true,
             private: false,
             host_gen: 0,
             stats: PredecodeStats::default(),
@@ -148,7 +146,6 @@ impl Clone for Predecode {
         };
         Predecode {
             chunks,
-            enabled: self.enabled,
             private: self.private,
             host_gen: self.host_gen,
             stats: self.stats,
@@ -162,17 +159,6 @@ impl Predecode {
         (addr as usize >> 2) & (ENTRIES - 1)
     }
 
-    /// Whether caching is enabled.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Enables or disables the cache; disabling clears it.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-        self.clear();
-    }
-
     /// Switches between shared snapshots (the default) and the private
     /// reference mode. Enabling private mode also unshares every chunk
     /// already resident, so a table forked earlier stops aliasing its
@@ -184,11 +170,6 @@ impl Predecode {
                 Arc::make_mut(c);
             }
         }
-    }
-
-    /// Whether the table is in the private reference mode.
-    pub fn is_private(&self) -> bool {
-        self.private
     }
 
     /// Looks up the cached decode of the word at `addr`, along with any
@@ -388,7 +369,6 @@ pub struct BlockTable {
     /// "write" includes the execution loop's ops checkout, so a fork
     /// that actually runs unshares exactly the chunks it executes from.
     chunks: Vec<Option<Arc<BlkChunk>>>,
-    enabled: bool,
     /// Reference mode: snapshots deep-copy resident chunks.
     private: bool,
     /// Bumped whenever any entry is flushed or the table is cleared. An
@@ -415,7 +395,6 @@ impl Default for BlockTable {
     fn default() -> Self {
         BlockTable {
             chunks: vec![None; BLOCK_ENTRIES / BLK_CHUNK],
-            enabled: true,
             private: false,
             gen: 0,
             cover_lo: u32::MAX,
@@ -442,7 +421,6 @@ impl Clone for BlockTable {
         };
         BlockTable {
             chunks,
-            enabled: self.enabled,
             private: self.private,
             gen: self.gen,
             cover_lo: self.cover_lo,
@@ -487,17 +465,6 @@ impl BlockTable {
         &mut Arc::make_mut(chunk)[idx % BLK_CHUNK]
     }
 
-    /// Whether block caching is enabled.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Enables or disables the table; disabling clears it.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-        self.clear();
-    }
-
     /// Switches between shared snapshots (the default) and the private
     /// reference mode; see [`Predecode::set_private`].
     pub fn set_private(&mut self, on: bool) {
@@ -507,11 +474,6 @@ impl BlockTable {
                 Arc::make_mut(c);
             }
         }
-    }
-
-    /// Whether the table is in the private reference mode.
-    pub fn is_private(&self) -> bool {
-        self.private
     }
 
     /// Current flush generation (see the field docs).
@@ -608,9 +570,6 @@ impl BlockTable {
     /// [`MAX_BLOCK_OPS`] candidate start addresses run.
     #[inline]
     pub fn invalidate(&mut self, addr: u32) {
-        if !self.enabled {
-            return;
-        }
         let a = addr & !3;
         if a.wrapping_sub(self.cover_lo) >= self.cover_hi.wrapping_sub(self.cover_lo)
             || self.filter & Self::filter_bit(a) == 0
@@ -652,7 +611,7 @@ impl BlockTable {
         }
     }
 
-    /// Flash-clears the whole table (host-side mutation, toggling) by
+    /// Flash-clears the whole table (host-side mutation, engine switch) by
     /// dropping every chunk.
     pub fn clear(&mut self) {
         for c in &mut self.chunks {

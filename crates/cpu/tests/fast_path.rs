@@ -4,7 +4,7 @@
 //! re-decoded, and running with the caches off must produce bit-identical
 //! architectural state and cycle counts.
 
-use trustlite_cpu::{HaltReason, Machine, RunExit, SystemBus};
+use trustlite_cpu::{Engine, HaltReason, Machine, RunExit, SystemBus};
 use trustlite_isa::{encode, Asm, Image, Instr, Reg};
 use trustlite_mem::{Bus, Ram};
 use trustlite_mpu::EaMpu;
@@ -12,13 +12,13 @@ use trustlite_mpu::EaMpu;
 const SRAM: u32 = 0x1000_0000;
 
 /// A machine whose code lives in RAM (writable), MPU enforcement off.
-fn machine(img: &Image, fast_path: bool) -> Machine {
+fn machine(img: &Image, engine: Engine) -> Machine {
     let mut bus = Bus::new();
     bus.map(SRAM, Box::new(Ram::new("sram", 0x1_0000))).unwrap();
     assert!(bus.host_load(img.base, &img.bytes));
     let mut sys = SystemBus::new(bus, EaMpu::new(8), None);
     sys.enforce = false;
-    sys.set_fast_path(fast_path);
+    sys.set_engine(engine);
     Machine::new(sys, img.base)
 }
 
@@ -48,7 +48,7 @@ fn self_modifying_image() -> Image {
 #[test]
 fn self_modifying_code_re_decodes() {
     let img = self_modifying_image();
-    let mut m = machine(&img, true);
+    let mut m = machine(&img, Engine::Superblock);
     assert!(matches!(
         m.run(100),
         RunExit::Halted(HaltReason::Halt { .. })
@@ -63,8 +63,8 @@ fn self_modifying_code_re_decodes() {
 #[test]
 fn self_modifying_code_cycles_match_uncached() {
     let img = self_modifying_image();
-    let mut fast = machine(&img, true);
-    let mut slow = machine(&img, false);
+    let mut fast = machine(&img, Engine::Superblock);
+    let mut slow = machine(&img, Engine::Reference);
     assert!(matches!(fast.run(100), RunExit::Halted(_)));
     assert!(matches!(slow.run(100), RunExit::Halted(_)));
     assert_eq!(fast.regs.get(Reg::R2), slow.regs.get(Reg::R2));
@@ -80,7 +80,7 @@ fn hw_write_patch_re_decodes() {
     a.label("spin");
     a.jmp("spin");
     let img = a.assemble().unwrap();
-    let mut m = machine(&img, true);
+    let mut m = machine(&img, Engine::Superblock);
     assert_eq!(m.run(10), RunExit::StepLimit, "spinning");
     m.sys.hw_write32(SRAM, encode(Instr::Halt)).unwrap();
     assert!(
@@ -95,7 +95,7 @@ fn host_load_patch_re_decodes() {
     a.label("spin");
     a.jmp("spin");
     let img = a.assemble().unwrap();
-    let mut m = machine(&img, true);
+    let mut m = machine(&img, Engine::Superblock);
     assert_eq!(m.run(10), RunExit::StepLimit, "spinning");
     // Host-side reprogramming (field update): caught by the bus host
     // generation counter, which flash-clears the predecode table.
@@ -132,7 +132,7 @@ fn loop_block_image() -> Image {
 /// exactly one built block.
 fn warmed_loop_machine() -> Machine {
     let img = loop_block_image();
-    let mut m = machine(&img, true);
+    let mut m = machine(&img, Engine::Superblock);
     assert_eq!(m.run(50), RunExit::StepLimit);
     let s = m.sys.block_stats();
     assert!(s.misses >= 1, "loop must have built a block");
@@ -212,7 +212,7 @@ fn patch_flushes_only_the_covering_block() {
     a.movi(Reg::R5, 4);
     a.jmp("a");
     let img = a.assemble().unwrap();
-    let mut m = machine(&img, true);
+    let mut m = machine(&img, Engine::Superblock);
     assert_eq!(m.run(60), RunExit::StepLimit);
     let s0 = m.sys.block_stats();
     assert!(s0.misses >= 2, "both blocks must be cached");
@@ -257,7 +257,7 @@ fn store_across_block_boundary_flushes_both_neighbours() {
     a.movi(Reg::R3, 2);
     a.jmp("a");
     let img = a.assemble().unwrap();
-    let mut m = machine(&img, true);
+    let mut m = machine(&img, Engine::Superblock);
     assert_eq!(m.run(40), RunExit::StepLimit);
     let s0 = m.sys.block_stats();
     assert!(s0.misses >= 2);
@@ -302,7 +302,7 @@ fn smc_after_fork_is_private_and_re_decoded() {
             assert!(bus.host_load(img.base, &img.bytes));
             let mut sys = SystemBus::new(bus, EaMpu::new(8), None);
             sys.enforce = false;
-            sys.set_fast_path(true);
+            sys.set_engine(Engine::Superblock);
             sys
         },
         img.base,
@@ -437,7 +437,7 @@ fn fork_shares_code_cache_footprint() {
 
 #[test]
 fn private_mode_fork_behaves_identically_to_shared() {
-    // The `--private-code` reference mode deep-copies on snapshot but
+    // The private reference mode deep-copies on snapshot but
     // must be architecturally indistinguishable: same registers, same
     // timing, same cache counters after an identical SMC sequence.
     let mut parent = warmed_loop_machine();

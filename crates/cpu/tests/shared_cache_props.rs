@@ -9,7 +9,7 @@
 //! a host-side artifact that must never be architecturally visible.
 
 use proptest::prelude::*;
-use trustlite_cpu::{Machine, SystemBus};
+use trustlite_cpu::{Engine, Machine, SystemBus};
 use trustlite_isa::instr::{AluOp, Cond};
 use trustlite_isa::{encode, Instr, Reg};
 use trustlite_mem::{Bus, Ram};
@@ -194,8 +194,7 @@ fn run_fork_scenario(
     sys.obs
         .attr
         .register("tail", &[(CODE + 0x20, CODE + 0x1000)]);
-    sys.set_fast_path(true);
-    sys.set_superblocks(true);
+    sys.set_engine(Engine::Superblock);
     sys.set_private_code_caches(private);
     let mut parent = Machine::new(sys, CODE);
     parent.regs.gprs = init;

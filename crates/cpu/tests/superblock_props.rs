@@ -8,7 +8,7 @@
 //! has to be observably pure even on adversarial code shapes.
 
 use proptest::prelude::*;
-use trustlite_cpu::{Machine, SystemBus};
+use trustlite_cpu::{Engine, Machine, SystemBus};
 use trustlite_isa::instr::{AluOp, Cond};
 use trustlite_isa::{encode, Instr, Reg};
 use trustlite_mem::{Bus, Ram};
@@ -144,7 +144,7 @@ fn run_soup(
     init: [u32; 8],
     level: ObsLevel,
     enforce: bool,
-    blocks: bool,
+    engine: Engine,
 ) -> Observed {
     let mut bus = Bus::new();
     bus.map(CODE, Box::new(Ram::new("sram", 0x2_0000))).unwrap();
@@ -184,8 +184,7 @@ fn run_soup(
     sys.obs
         .attr
         .register("tail", &[(CODE + 0x20, CODE + 0x1000)]);
-    sys.set_fast_path(blocks);
-    sys.set_superblocks(blocks);
+    sys.set_engine(engine);
     let mut m = Machine::new(sys, CODE);
     m.regs.gprs = init;
     m.regs.set(Reg::R6, DATA); // memory base
@@ -214,8 +213,8 @@ proptest! {
     ) {
         let image = encode_soup(&ops);
         for level in [ObsLevel::Off, ObsLevel::Metrics, ObsLevel::Events, ObsLevel::Full] {
-            let slow = run_soup(&image, init, level, enforce, false);
-            let block = run_soup(&image, init, level, enforce, true);
+            let slow = run_soup(&image, init, level, enforce, Engine::Reference);
+            let block = run_soup(&image, init, level, enforce, Engine::Superblock);
             prop_assert_eq!(block.gprs, slow.gprs, "{:?}/{}: gprs", level, enforce);
             prop_assert_eq!(block.sp, slow.sp, "{:?}/{}: sp", level, enforce);
             prop_assert_eq!(block.ip, slow.ip, "{:?}/{}: ip", level, enforce);

@@ -185,7 +185,7 @@ fn main() {
             "non-terminal states at {fault_pm}‰: {:?}",
             report.campaign_states
         );
-        // One greppable survival line per rate (CI's campaign-identity
+        // One greppable survival line per rate (CI's fleet-identity
         // job checks the 500‰ row for rollbacks and bricked count).
         let bricked = row.devices - row.completed - row.rolled_back - row.quarantined - row.skipped;
         println!(

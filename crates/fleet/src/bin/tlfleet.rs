@@ -7,9 +7,9 @@
 //!         [--attest-every N] [--chaos SEED] [--fault-rate PM]
 //!         [--malicious PM] [--max-retries N] [--timeout-rounds N]
 //!         [--trace-level off|spans|full] [--trace-jsonl PATH]
-//!         [--chrome-trace PATH] [--dense-mem] [--private-code]
-//!         [--campaign] [--canary-pct N] [--failure-budget N]
-//!         [--rollback-report] [--digest] [--expect HEX] [--json]
+//!         [--chrome-trace PATH] [--campaign] [--canary-pct N]
+//!         [--failure-budget N] [--rollback-report] [--digest]
+//!         [--expect HEX] [--json]
 //! ```
 //!
 //! `--digest` prints only the aggregate digest (CI compares this across
@@ -23,12 +23,7 @@
 //! trace (pipe into `tlstats`); `--chrome-trace` writes a Chrome
 //! `trace_event` timeline with one lane per engine shard and per device.
 //! Either trace sink implies `--trace-level spans` unless a level was
-//! given explicitly. `--dense-mem` runs on dense (fully materialized,
-//! deep-copy) memory instead of the default sparse COW backing;
-//! `--private-code` forks private (deep-copied) predecode/superblock
-//! tables instead of the default `Arc`-shared code caches — in either
-//! case the digest must not change (CI's `fork-identity` job compares
-//! the reference modes against the default).
+//! given explicitly.
 //!
 //! `--campaign` runs a firmware-update campaign over the fleet: A/B
 //! slots, canary/ramp waves (`--canary-pct`, default 25), an attested
@@ -47,9 +42,9 @@ fn usage() -> ! {
          \x20              [--attest-every N] [--chaos SEED] [--fault-rate PM]\n\
          \x20              [--malicious PM] [--max-retries N] [--timeout-rounds N]\n\
          \x20              [--trace-level off|spans|full] [--trace-jsonl PATH]\n\
-         \x20              [--chrome-trace PATH] [--dense-mem] [--private-code]\n\
-         \x20              [--campaign] [--canary-pct N] [--failure-budget N]\n\
-         \x20              [--rollback-report] [--digest] [--expect HEX] [--json]"
+         \x20              [--chrome-trace PATH] [--campaign] [--canary-pct N]\n\
+         \x20              [--failure-budget N] [--rollback-report] [--digest]\n\
+         \x20              [--expect HEX] [--json]"
     );
     std::process::exit(2);
 }
@@ -119,8 +114,6 @@ fn main() {
             }
             "--trace-jsonl" => trace_path = Some(value(&mut i)),
             "--chrome-trace" => chrome_path = Some(value(&mut i)),
-            "--dense-mem" => cfg.dense_mem = true,
-            "--private-code" => cfg.private_code = true,
             "--campaign" => campaign = true,
             "--canary-pct" => canary_pct = Some(value(&mut i).parse().unwrap_or_else(|_| usage())),
             "--failure-budget" => {

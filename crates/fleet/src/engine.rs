@@ -7,6 +7,7 @@ use std::time::Instant;
 
 use trustlite::attest::{self, Challenge, Response};
 use trustlite::{Platform, TrustliteError};
+use trustlite_bench::state_digest;
 use trustlite_bench::throughput::build_workload;
 use trustlite_chaos::{ChaosConfig, DeviceRole, FaultPlan, RoundFault};
 use trustlite_crypto::sha256;
@@ -18,7 +19,7 @@ use trustlite_periph::KeyStore;
 
 use crate::campaign::{CampaignConfig, CampaignState};
 use crate::observatory::TraceLevel;
-use crate::report::{state_digest, FleetReport};
+use crate::report::FleetReport;
 use crate::resilience::{DeviceHealth, VerifierState};
 
 /// How many trailing device events a flight dump carries (the tail of
@@ -62,16 +63,6 @@ pub struct FleetConfig {
     /// Per-device flight-recorder depth (always on; `0` disables
     /// retention but still counts drops).
     pub flight_cap: usize,
-    /// Run every device on dense (fully materialized, deep-copy
-    /// snapshot) memory instead of the default sparse COW backing.
-    /// Reference mode for differential runs: digests must be
-    /// byte-identical either way (CI's `fork-identity` job).
-    pub dense_mem: bool,
-    /// Fork every device with private (deep-copied) predecode/superblock
-    /// tables instead of the default chunked `Arc`-shared code caches.
-    /// Reference mode for differential runs: digests must be
-    /// byte-identical either way (CI's `fork-identity` job).
-    pub private_code: bool,
     /// Firmware-update campaign (off by default; a configured campaign
     /// stages the patched image over the fleet in canary/ramp waves and
     /// commits each device behind an attested re-measurement gate).
@@ -94,8 +85,6 @@ impl Default for FleetConfig {
             timeout_rounds: 2,
             trace: TraceLevel::Off,
             flight_cap: DEFAULT_FLIGHT_CAP,
-            dense_mem: false,
-            private_code: false,
             campaign: None,
         }
     }
@@ -272,6 +261,19 @@ impl Fleet {
     /// measurement table or corrupting its key-store copy of the
     /// platform key.
     pub fn boot(cfg: FleetConfig) -> Result<Fleet, TrustliteError> {
+        Fleet::boot_with(cfg, |_| Ok(()))
+    }
+
+    /// [`Fleet::boot`] with a hook that runs on the master platform right
+    /// after the workload is built, before the boot report is taken and
+    /// any device is forked. This is the test seam for the reference
+    /// modes (dense memory via `Platform::set_dense_memory`, private code
+    /// caches via `SystemBus::set_private_code_caches`), which every
+    /// fork then inherits; digests must come out byte-identical.
+    pub fn boot_with(
+        cfg: FleetConfig,
+        prepare: impl FnOnce(&mut Platform) -> Result<(), TrustliteError>,
+    ) -> Result<Fleet, TrustliteError> {
         let t_boot = Instant::now();
         if cfg.devices == 0 {
             return Err(TrustliteError::DegenerateFleet { what: "devices" });
@@ -280,12 +282,7 @@ impl Fleet {
             return Err(TrustliteError::DegenerateFleet { what: "rounds" });
         }
         let mut master = build_workload(&cfg.workload, cfg.level);
-        if cfg.dense_mem {
-            master.set_dense_memory(true)?;
-        }
-        if cfg.private_code {
-            master.set_private_code_caches(true);
-        }
+        prepare(&mut master)?;
         let boot_report = master.machine.metrics_report();
         let expected = expected_measurements(&mut master)?;
         let mut ordered: Vec<(u32, String)> = master
@@ -724,8 +721,6 @@ impl Fleet {
             resident_bytes,
             addressable_bytes,
             code_cache_bytes,
-            dense_mem: cfg.dense_mem,
-            private_code: cfg.private_code,
             digest: sha256(&digest_blob),
         }
     }

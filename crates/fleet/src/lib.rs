@@ -55,5 +55,6 @@ pub mod resilience;
 pub use campaign::{CampaignConfig, UpdateState};
 pub use engine::{DeviceSim, Fleet, FleetConfig};
 pub use observatory::{chrome_trace, trace_jsonl, TraceLevel};
-pub use report::{state_digest, FleetReport};
+pub use report::FleetReport;
 pub use resilience::{DeviceHealth, FailReason};
+pub use trustlite_bench::state_digest;

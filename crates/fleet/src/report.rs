@@ -1,35 +1,10 @@
-//! The merged fleet report and state digesting.
+//! The merged fleet report.
 
-use trustlite::Platform;
-use trustlite_crypto::sha256;
 use trustlite_obs::{FlightDump, MetricsReport, SpanRecord};
 
 use crate::campaign::UpdateState;
 use crate::observatory::TraceLevel;
 use crate::resilience::DeviceHealth;
-
-/// Digest of one device's architectural state: counters, register file
-/// and the first pages of SRAM (the same footprint the workspace
-/// determinism tests use). Fleet-level digests concatenate these in
-/// device order, so two runs agree iff every device's trajectory agrees.
-pub fn state_digest(p: &mut Platform) -> [u8; 32] {
-    let mut blob = Vec::new();
-    blob.extend_from_slice(&p.machine.cycles.to_le_bytes());
-    blob.extend_from_slice(&p.machine.instret.to_le_bytes());
-    for g in p.machine.regs.gprs {
-        blob.extend_from_slice(&g.to_le_bytes());
-    }
-    blob.extend_from_slice(&p.machine.regs.sp.to_le_bytes());
-    blob.extend_from_slice(&p.machine.regs.ip.to_le_bytes());
-    let sram = p
-        .machine
-        .sys
-        .bus
-        .read_bytes(trustlite_mem::map::SRAM_BASE, 0x4000)
-        .expect("sram readable");
-    blob.extend_from_slice(&sram);
-    sha256(&blob)
-}
 
 /// What a fleet run produced, merged across all devices.
 #[derive(Debug, Clone)]
@@ -88,8 +63,8 @@ pub struct FleetReport {
     pub fork_us_per_device: f64,
     /// Host-side materialized bytes summed over all devices at the end
     /// of the run (sparse COW backing makes this a small fraction of
-    /// `addressable_bytes`; dense backing makes them equal). Host-side
-    /// diagnostics; never part of `digest`.
+    /// `addressable_bytes`; the dense reference backing makes them
+    /// equal). Host-side diagnostics; never part of `digest`.
     pub resident_bytes: u64,
     /// Addressable bytes summed over all devices.
     pub addressable_bytes: u64,
@@ -99,11 +74,6 @@ pub struct FleetReport {
     /// per-device table size). Host-side diagnostics; never part of
     /// `digest`.
     pub code_cache_bytes: u64,
-    /// Whether the run used dense (reference) memory backing.
-    pub dense_mem: bool,
-    /// Whether the run used private (reference, deep-copied) code
-    /// caches instead of the default `Arc`-shared chunked tables.
-    pub private_code: bool,
     /// Order-independent digest over every device's final architectural
     /// state plus the merged aggregates; bit-identical across worker
     /// counts.
@@ -227,7 +197,7 @@ impl FleetReport {
              \"campaign\": {}, \"campaign_completed\": {}, \"campaign_rolled_back\": {},\n  \
              \"campaign_quarantined\": {}, \"campaign_skipped\": {},\n  \
              \"campaign_states\": [{}],\n  \
-             \"dense_mem\": {}, \"private_code\": {}, \"fork_us_per_device\": {:.3},\n  \
+             \"fork_us_per_device\": {:.3},\n  \
              \"resident_bytes\": {}, \"addressable_bytes\": {}, \"code_cache_bytes\": {},\n  \
              \"total_instret\": {}, \"total_cycles\": {},\n  \
              \"attest_ok\": {}, \"attest_fail\": {},\n  \
@@ -252,8 +222,6 @@ impl FleetReport {
             self.campaign_quarantined(),
             self.campaign_skipped(),
             campaign_states,
-            self.dense_mem,
-            self.private_code,
             self.fork_us_per_device,
             self.resident_bytes,
             self.addressable_bytes,
@@ -290,8 +258,11 @@ impl FleetReport {
     }
 
     /// One machine-greppable memory-footprint line (`memory: R resident
-    /// / A addressable bytes (P%, sparse|dense), code cache C bytes
-    /// (shared|private), fork F us/device`), used by the CLI and CI.
+    /// / A addressable bytes (P%, sparse), code cache C bytes (shared),
+    /// fork F us/device`), used by the CLI and CI. The backing words are
+    /// fixed: sparse memory and shared code caches are the only
+    /// configuration a [`crate::FleetConfig`] runs (the reference modes
+    /// are reachable only through [`crate::Fleet::boot_with`]).
     /// Host-side only; never digested.
     pub fn memory_line(&self) -> String {
         let pct = if self.addressable_bytes > 0 {
@@ -300,18 +271,12 @@ impl FleetReport {
             0.0
         };
         format!(
-            "memory: {} resident / {} addressable bytes ({:.1}%, {}), \
-             code cache {} bytes ({}), fork {:.1} us/device",
+            "memory: {} resident / {} addressable bytes ({:.1}%, sparse), \
+             code cache {} bytes (shared), fork {:.1} us/device",
             self.resident_bytes,
             self.addressable_bytes,
             pct,
-            if self.dense_mem { "dense" } else { "sparse" },
             self.code_cache_bytes,
-            if self.private_code {
-                "private"
-            } else {
-                "shared"
-            },
             self.fork_us_per_device,
         )
     }

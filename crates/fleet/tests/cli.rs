@@ -234,27 +234,6 @@ fn chaos_run_reports_health_and_reject_counters() {
 }
 
 #[test]
-fn dense_mem_flag_does_not_move_the_digest() {
-    let sparse = tlfleet()
-        .args(SMALL)
-        .arg("--digest")
-        .output()
-        .expect("spawn tlfleet");
-    assert!(sparse.status.success());
-    let dense = tlfleet()
-        .args(SMALL)
-        .args(["--dense-mem", "--digest"])
-        .output()
-        .expect("spawn tlfleet");
-    assert!(dense.status.success());
-    assert_eq!(
-        String::from_utf8_lossy(&sparse.stdout),
-        String::from_utf8_lossy(&dense.stdout),
-        "memory backing must be invisible to the fleet digest"
-    );
-}
-
-#[test]
 fn default_output_reports_the_memory_footprint() {
     let out = tlfleet().args(SMALL).output().expect("spawn tlfleet");
     assert!(out.status.success());
@@ -265,16 +244,22 @@ fn default_output_reports_the_memory_footprint() {
         .unwrap_or_else(|| panic!("no memory line in: {stdout}"));
     assert!(mem.contains("sparse"), "default backing is sparse: {mem}");
     assert!(mem.contains("us/device"), "fork timing missing: {mem}");
-    let dense = tlfleet()
-        .args(SMALL)
-        .arg("--dense-mem")
-        .output()
-        .expect("spawn tlfleet");
-    let stdout = String::from_utf8_lossy(&dense.stdout);
-    assert!(
-        stdout
-            .lines()
-            .any(|l| l.starts_with("memory: ") && l.contains("dense")),
-        "dense run must say so: {stdout}"
-    );
+}
+
+#[test]
+fn reference_mode_flags_are_not_options() {
+    // Dense memory and private code caches are test seams
+    // (`Fleet::boot_with`), not fleet configurations.
+    for flag in ["--dense-mem", "--private-code"] {
+        let out = tlfleet()
+            .args(SMALL)
+            .arg(flag)
+            .output()
+            .expect("spawn tlfleet");
+        assert_eq!(out.status.code(), Some(2), "{flag} must be rejected");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage: tlfleet"),
+            "{flag} must print usage"
+        );
+    }
 }

@@ -20,8 +20,8 @@
 //! differential property tests enforce this). A *dense* mode —
 //! [`PageStore::new_dense`] / [`PageStore::set_dense`] — keeps every page
 //! materialized and deep-copies on snapshot, reproducing the pre-sparse
-//! behaviour as the reference side of dense-vs-sparse differential runs
-//! (`tlfleet --dense-mem`, the CI `fork-identity` job).
+//! behaviour as the reference side of dense-vs-sparse differential tests
+//! (`trustlite::Platform::set_dense_memory`).
 
 use core::fmt;
 use std::sync::Arc;
@@ -91,11 +91,6 @@ impl PageStore {
     #[inline(always)]
     pub fn size(&self) -> u32 {
         self.size
-    }
-
-    /// Whether the store runs in dense (reference) mode.
-    pub fn is_dense(&self) -> bool {
-        self.dense
     }
 
     /// Switches backing mode. `true` materializes every page and unshares

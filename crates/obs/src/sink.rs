@@ -1,6 +1,8 @@
 //! Event sinks: render a recorded event stream as human-readable text,
-//! JSON Lines (with a parser for round-tripping), or a Chrome
-//! `trace_event` file loadable in `chrome://tracing` / Perfetto.
+//! JSON Lines, or a Chrome `trace_event` file loadable in
+//! `chrome://tracing` / Perfetto. Event JSON Lines is a valid fleet trace
+//! stream without a meta line, so [`crate::trace::parse_trace`] reads it
+//! back (every record a [`crate::TraceRecord::Event`]).
 
 use std::fmt::Write as _;
 
@@ -261,15 +263,9 @@ fn field_ipc_kind(v: &Json) -> Result<IpcKind, String> {
     IpcKind::from_name(&s).ok_or_else(|| format!("unknown ipc message kind `{s}`"))
 }
 
-/// Parses one JSONL line produced by [`event_to_json`] back into an
-/// [`Event`].
-pub fn parse_jsonl_line(line: &str) -> Result<Event, String> {
-    let v = json::parse(line.trim()).map_err(|e| e.to_string())?;
-    event_from_json(&v)
-}
-
-/// Parses an [`Event`] from an already-parsed JSON object (used for the
-/// event arrays nested inside flight-recorder dumps).
+/// Parses an [`Event`] from an already-parsed JSON object: the event
+/// lines of a trace stream and the event arrays nested inside
+/// flight-recorder dumps.
 pub fn event_from_json(v: &Json) -> Result<Event, String> {
     let kind = field_str(v, "kind")?;
     match kind.as_str() {
@@ -347,16 +343,6 @@ pub fn event_from_json(v: &Json) -> Result<Event, String> {
         }),
         other => Err(format!("unknown event kind `{other}`")),
     }
-}
-
-/// Parses a full JSONL document back into events, failing on the first
-/// malformed line.
-pub fn parse_jsonl(doc: &str) -> Result<Vec<Event>, String> {
-    doc.lines()
-        .filter(|l| !l.trim().is_empty())
-        .enumerate()
-        .map(|(i, l)| parse_jsonl_line(l).map_err(|e| format!("line {}: {e}", i + 1)))
-        .collect()
 }
 
 // --- Chrome trace_event -------------------------------------------------
@@ -525,6 +511,7 @@ pub fn chrome<'a>(events: impl IntoIterator<Item = &'a Event>, end_cycle: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{parse_trace, parse_trace_line, TraceRecord};
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -609,8 +596,49 @@ mod tests {
         let events = sample_events();
         let doc = jsonl(&events);
         assert_eq!(doc.lines().count(), events.len());
-        let parsed = parse_jsonl(&doc).expect("round-trip parses");
+        let parsed = parse_trace(&doc).expect("round-trip parses");
+        let parsed: Vec<Event> = parsed
+            .into_iter()
+            .map(|r| match r {
+                TraceRecord::Event(e) => e,
+                other => panic!("event line parsed as {other:?}"),
+            })
+            .collect();
         assert_eq!(parsed, events);
+    }
+
+    #[test]
+    fn no_event_kind_shadows_a_trace_record_kind() {
+        // Event lines share the trace stream with meta/span/hist/flight
+        // records, and `parse_trace_line` dispatches on those kinds
+        // before falling back to events, so an event named like one
+        // would silently misparse. The match has no wildcard: a new
+        // variant stops compiling here until `sample_events` carries it.
+        let mut seen = [false; 10];
+        for e in sample_events() {
+            let i = match e {
+                Event::InstrRetired { .. } => 0,
+                Event::MpuCheck { .. } => 1,
+                Event::MpuFault { .. } => 2,
+                Event::ExceptionEnter { .. } => 3,
+                Event::ExceptionExit { .. } => 4,
+                Event::RegsCleared { .. } => 5,
+                Event::LoaderPhase { .. } => 6,
+                Event::ContextSwitch { .. } => 7,
+                Event::IpcSend { .. } => 8,
+                Event::IpcRecv { .. } => 9,
+            };
+            seen[i] = true;
+            let kind = e.kind_name();
+            assert!(
+                !["meta", "span", "hist", "flight"].contains(&kind),
+                "event kind `{kind}` collides with a trace record kind"
+            );
+        }
+        assert!(
+            seen.iter().all(|&s| s),
+            "sample_events covers every variant"
+        );
     }
 
     #[test]
@@ -659,11 +687,11 @@ mod tests {
 
     #[test]
     fn rejects_malformed_lines() {
-        assert!(parse_jsonl_line("{\"kind\":\"nope\"}").is_err());
-        assert!(parse_jsonl_line("{\"cycle\":1}").is_err());
-        assert!(parse_jsonl_line("not json").is_err());
+        assert!(parse_trace_line("{\"kind\":\"nope\"}").is_err());
+        assert!(parse_trace_line("{\"cycle\":1}").is_err());
+        assert!(parse_trace_line("not json").is_err());
         assert!(
-            parse_jsonl("{\"kind\":\"regs_cleared\",\"cycle\":1,\"count\":8}\ngarbage\n").is_err()
+            parse_trace("{\"kind\":\"regs_cleared\",\"cycle\":1,\"count\":8}\ngarbage\n").is_err()
         );
     }
 }

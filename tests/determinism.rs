@@ -4,6 +4,7 @@
 //! test suite meaningful.
 
 use trustlite_bench::{build_handshake_platform, run_handshake, state_digest};
+use trustlite_cpu::Engine;
 
 #[test]
 fn identical_seeds_replay_identically() {
@@ -54,19 +55,18 @@ fn fast_path_caches_are_architecturally_invisible() {
     // running each macro workload on the interpreted path, the
     // predecode-only fast path and the superblock path must produce
     // bit-identical architectural state, cycle counts and instruction
-    // counts. `set_fast_path(false)` must bypass the block table too.
+    // counts. `Engine::Reference` must bypass the block table too.
     for workload in trustlite_bench::throughput::WORKLOADS {
-        let run = |fast: bool, blocks: bool| {
+        let run = |engine: Engine| {
             let mut p =
                 trustlite_bench::throughput::build_workload(workload, trustlite::ObsLevel::Off);
-            p.machine.sys.set_fast_path(fast);
-            p.machine.sys.set_superblocks(blocks);
+            p.machine.sys.set_engine(engine);
             let _ = p.run(60_000);
             (p.machine.instret, p.machine.cycles, state_digest(&mut p))
         };
-        let slow = run(false, false);
-        let fast = run(true, false);
-        let block = run(true, true);
+        let slow = run(Engine::Reference);
+        let fast = run(Engine::Predecode);
+        let block = run(Engine::Superblock);
         assert_eq!(
             (fast.0, fast.1),
             (slow.0, slow.1),
