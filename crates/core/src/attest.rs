@@ -107,16 +107,12 @@ pub fn local_attest(
 
     // (3) Code-hash check against the loader's measurement: hash the
     // live region and compare with the recorded digest.
-    let mut live_code = Vec::with_capacity(plan.code_size as usize);
-    for i in 0..plan.code_size {
-        let b = platform
-            .machine
-            .sys
-            .bus
-            .read8(plan.code_base + i)
-            .map_err(|e| TrustliteError::BadFirmware(e.to_string()))?;
-        live_code.push(b);
-    }
+    let live_code = platform
+        .machine
+        .sys
+        .bus
+        .read_bytes(plan.code_base, plan.code_size)
+        .map_err(|e| TrustliteError::BadFirmware(e.to_string()))?;
     let recorded = platform.measurement(name)?;
     let measurement_ok = measure_code(&live_code) == recorded;
 

@@ -108,12 +108,7 @@ pub fn run(
         .and_then(|ks| ks.key(cfg.platform_key_slot));
 
     // Step 2: parse the firmware table out of PROM and load each trustlet.
-    let prom_window = machine
-        .sys
-        .bus
-        .read_bytes(map::PROM_BASE + FW_TABLE_OFF, map::PROM_SIZE - FW_TABLE_OFF)
-        .map_err(|e| TrustliteError::BadFirmware(e.to_string()))?;
-    let entries = prom::parse(&prom_window)?;
+    let entries = prom::read_table(&mut machine.sys.bus)?;
 
     for entry in &entries {
         let spec = trustlets

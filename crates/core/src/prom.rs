@@ -22,7 +22,10 @@
 //!   auth tag [32 bytes, only if flags bit1]
 //! ```
 
+use trustlite_mem::{map, Bus};
+
 use crate::error::TrustliteError;
+use crate::loader::FW_TABLE_OFF;
 
 /// Magic number at the start of the firmware table ("TLFW", little-endian).
 pub const MAGIC: u32 = u32::from_le_bytes(*b"TLFW");
@@ -94,42 +97,102 @@ pub fn stage(entries: &[PromEntry]) -> Vec<u8> {
 
 /// Parses a firmware table from raw PROM bytes.
 pub fn parse(bytes: &[u8]) -> Result<Vec<PromEntry>, TrustliteError> {
-    let bad = |m: &str| TrustliteError::BadFirmware(m.to_string());
-    let word = |off: usize| -> Result<u32, TrustliteError> {
-        let s = bytes
-            .get(off..off + 4)
-            .ok_or_else(|| bad("truncated word"))?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    };
-    if word(0)? != MAGIC {
+    parse_window(Window {
+        len: bytes.len(),
+        fetch: |off: usize, buf: &mut [u8]| {
+            buf.copy_from_slice(&bytes[off..off + buf.len()]);
+            Ok(())
+        },
+    })
+}
+
+/// Reads the firmware table straight out of the PROM window
+/// (`FW_TABLE_OFF` to the end of PROM): the table header, each entry's
+/// header, code and tag, and nothing past the last entry. Accepts and
+/// rejects exactly what [`parse`] does on the whole window read into
+/// memory, with the same `BadFirmware` messages; a bus fault inside the
+/// window is a `BadFirmware` carrying the bus error.
+pub fn read_table(bus: &mut Bus) -> Result<Vec<PromEntry>, TrustliteError> {
+    let base = map::PROM_BASE + FW_TABLE_OFF;
+    parse_window(Window {
+        len: (map::PROM_SIZE - FW_TABLE_OFF) as usize,
+        fetch: |off: usize, buf: &mut [u8]| {
+            bus.read_into(base + off as u32, buf)
+                .map_err(|e| TrustliteError::BadFirmware(e.to_string()))
+        },
+    })
+}
+
+fn bad(m: &str) -> TrustliteError {
+    TrustliteError::BadFirmware(m.to_string())
+}
+
+/// `len` bytes of firmware table, read through `fetch`. Every read is
+/// bounds-checked before `fetch` runs, so a field past the end is a
+/// `BadFirmware` error and a huge `code_len` never allocates.
+struct Window<F> {
+    len: usize,
+    fetch: F,
+}
+
+impl<F: FnMut(usize, &mut [u8]) -> Result<(), TrustliteError>> Window<F> {
+    fn fits(&self, off: usize, n: usize) -> bool {
+        off.checked_add(n).is_some_and(|end| end <= self.len)
+    }
+
+    fn read(&mut self, off: usize, buf: &mut [u8], what: &str) -> Result<(), TrustliteError> {
+        if !self.fits(off, buf.len()) {
+            return Err(bad(what));
+        }
+        (self.fetch)(off, buf)
+    }
+
+    fn word(&mut self, off: usize) -> Result<u32, TrustliteError> {
+        let mut w = [0u8; 4];
+        self.read(off, &mut w, "truncated word")?;
+        Ok(u32::from_le_bytes(w))
+    }
+
+    /// [`Window::read`] into a fresh buffer, allocated only once the
+    /// range is known to fit.
+    fn bytes(&mut self, off: usize, n: usize, what: &str) -> Result<Vec<u8>, TrustliteError> {
+        if !self.fits(off, n) {
+            return Err(bad(what));
+        }
+        let mut buf = vec![0u8; n];
+        self.read(off, &mut buf, what)?;
+        Ok(buf)
+    }
+}
+
+fn parse_window<F>(mut win: Window<F>) -> Result<Vec<PromEntry>, TrustliteError>
+where
+    F: FnMut(usize, &mut [u8]) -> Result<(), TrustliteError>,
+{
+    if win.word(0)? != MAGIC {
         return Err(bad("bad magic"));
     }
-    let count = word(4)? as usize;
+    let count = win.word(4)? as usize;
     if count > 1024 {
         return Err(bad("implausible entry count"));
     }
     let mut entries = Vec::with_capacity(count);
     let mut off = 8usize;
     for _ in 0..count {
-        let id = word(off)?;
-        let dst_base = word(off + 4)?;
-        let code_len = word(off + 8)? as usize;
-        let entry_len = word(off + 12)?;
-        let flags = word(off + 16)?;
-        let main = word(off + 20)?;
+        // The six meaningful header words; the two reserved words are
+        // never read.
+        let mut h = [0u8; 24];
+        win.read(off, &mut h, "truncated word")?;
+        let field = |i: usize| u32::from_le_bytes(h[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+        let (id, dst_base, code_len) = (field(0), field(1), field(2) as usize);
+        let (entry_len, flags, main) = (field(3), field(4), field(5));
         off += HEADER_BYTES as usize;
-        let code = bytes
-            .get(off..off + code_len)
-            .ok_or_else(|| bad("truncated code payload"))?
-            .to_vec();
+        let code = win.bytes(off, code_len, "truncated code payload")?;
         off += pad4(code_len);
         let auth_tag = if flags & FLAG_AUTHENTICATED != 0 {
-            let tag = bytes
-                .get(off..off + 32)
-                .ok_or_else(|| bad("truncated auth tag"))?;
-            off += 32;
             let mut t = [0u8; 32];
-            t.copy_from_slice(tag);
+            win.read(off, &mut t, "truncated auth tag")?;
+            off += 32;
             Some(t)
         } else {
             None

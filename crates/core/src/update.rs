@@ -321,15 +321,14 @@ pub fn write_block(sys: &mut SystemBus, tt_index: u32, block: &UpdateBlock) -> b
 }
 
 /// Reads `len` staged bytes for trustlet `tt_index` out of DRAM.
+///
+/// The staging area is plain DRAM, so this is one bulk bus read over
+/// the whole words the image occupies.
 pub fn read_staged(sys: &mut SystemBus, tt_index: u32, len: u32) -> Option<Vec<u8>> {
-    let base = staging_base(tt_index);
-    let mut out = Vec::with_capacity(len as usize);
-    let mut addr = base;
-    while out.len() < len as usize {
-        let w = sys.hw_read32(addr).ok()?;
-        out.extend_from_slice(&w.to_le_bytes());
-        addr += 4;
-    }
+    let mut out = sys
+        .bus
+        .read_bytes(staging_base(tt_index), len.next_multiple_of(4))
+        .ok()?;
     out.truncate(len as usize);
     Some(out)
 }

@@ -174,16 +174,7 @@ impl CampaignState {
         let plan = master.plan(&target)?.clone();
         // The original image comes from the PROM firmware table — the
         // same bytes the Secure Loader copies at every slot-A boot.
-        let prom = master
-            .machine
-            .sys
-            .bus
-            .read_bytes(
-                trustlite_mem::map::PROM_BASE + trustlite::loader::FW_TABLE_OFF,
-                trustlite_mem::map::PROM_SIZE - trustlite::loader::FW_TABLE_OFF,
-            )
-            .map_err(|e| TrustliteError::BadFirmware(e.to_string()))?;
-        let entry = trustlite::prom::parse(&prom)?
+        let entry = trustlite::prom::read_table(&mut master.machine.sys.bus)?
             .into_iter()
             .find(|e| e.id == plan.id)
             .ok_or(TrustliteError::Snapshot("campaign PROM entry"))?;

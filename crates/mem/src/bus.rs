@@ -522,9 +522,36 @@ impl Bus {
             .collect()
     }
 
-    /// Convenience: reads `len` bytes starting at `addr` (diagnostics).
+    /// Reads `len` consecutive bytes starting at `addr` — the host-side
+    /// bulk read behind the Secure Loader's PROM table walk, campaign
+    /// set-up, local attestation and the state digest. See
+    /// [`Bus::read_into`].
     pub fn read_bytes(&mut self, addr: u32, len: u32) -> Result<Vec<u8>, BusError> {
-        (0..len).map(|i| self.read8(addr + i)).collect()
+        let mut buf = vec![0u8; len as usize];
+        self.read_into(addr, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// Fills `buf` from consecutive bytes starting at `addr`, with the
+    /// result of one [`Bus::read8`] per byte. A range that lies wholly
+    /// inside one non-tickable mapping is one [`Device::read_bytes`]
+    /// call (a page-slice copy for RAM/ROM, which never materializes a
+    /// page); every other range — across a gap or a device end, or into
+    /// a tickable device — takes the per-byte path, so the error and its
+    /// address are exactly those of the first failing `read8`.
+    pub fn read_into(&mut self, addr: u32, buf: &mut [u8]) -> Result<(), BusError> {
+        if buf.is_empty() {
+            return Ok(());
+        }
+        if let Ok((m, off)) = self.lookup(addr) {
+            if buf.len() as u64 <= u64::from(m.size - off) && !m.device.is_tickable() {
+                return m.device.read_bytes(off, buf).map_err(|e| rebase(e, m.base));
+            }
+        }
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = self.read8(addr + i as u32)?;
+        }
+        Ok(())
     }
 
     /// Host-side bytes actually materialized across all mapped devices

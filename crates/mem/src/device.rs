@@ -89,6 +89,18 @@ pub trait Device: Any + Send {
         Ok((word >> (8 * (off & 3))) as u8)
     }
 
+    /// Fills `buf` from consecutive bytes starting at `off` (the bus has
+    /// checked the whole range is in the window). The default is one
+    /// [`Device::read8`] per byte, so register banks keep their exact
+    /// per-access behaviour and report the first failing offset; plain
+    /// storage overrides it with a bulk copy.
+    fn read_bytes(&mut self, off: u32, buf: &mut [u8]) -> Result<(), BusError> {
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = self.read8(off + i as u32)?;
+        }
+        Ok(())
+    }
+
     /// Writes one byte via read-modify-write of the containing word.
     fn write8(&mut self, off: u32, value: u8) -> Result<(), BusError> {
         let word = self.read32(off & !3)?;

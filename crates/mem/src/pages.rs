@@ -186,6 +186,26 @@ impl PageStore {
         }
     }
 
+    /// Copies `buf.len()` bytes starting at `off` into `buf`: one slice
+    /// copy per resident page, a zero fill per absent page. Read-only —
+    /// never materializes, unshares or counts a page.
+    pub fn read_into(&self, off: u32, buf: &mut [u8]) {
+        debug_assert!(off as u64 + buf.len() as u64 <= u64::from(self.size));
+        let mut cur = off as usize;
+        let mut dst = buf;
+        while !dst.is_empty() {
+            let lane = cur & PAGE_MASK;
+            let span = (PAGE_SIZE as usize - lane).min(dst.len());
+            let (chunk, rest) = dst.split_at_mut(span);
+            match &self.pages[cur >> PAGE_SHIFT] {
+                Some(p) => chunk.copy_from_slice(&p.0[lane..lane + span]),
+                None => chunk.fill(0),
+            }
+            cur += span;
+            dst = rest;
+        }
+    }
+
     /// The page containing `off`, materialized and uniquely owned
     /// (cloned on first write when shared with a fork).
     #[inline(always)]
@@ -295,13 +315,7 @@ impl PageStore {
     /// Materializes the full contents (diagnostics; O(size)).
     pub fn to_vec(&self) -> Vec<u8> {
         let mut out = vec![0u8; self.size as usize];
-        for (i, page) in self.pages.iter().enumerate() {
-            if let Some(p) = page {
-                let base = i << PAGE_SHIFT;
-                let span = (self.size as usize - base).min(PAGE_SIZE as usize);
-                out[base..base + span].copy_from_slice(&p.0[..span]);
-            }
-        }
+        self.read_into(0, &mut out);
         out
     }
 }
@@ -409,6 +423,53 @@ mod tests {
         t.set_dense(false);
         assert_eq!(t.resident_pages(), 1, "zero pages dropped again");
         assert_eq!(t.read32(PAGE_SIZE), 3);
+    }
+
+    #[test]
+    fn read_into_straddles_pages() {
+        let mut s = PageStore::new(3 * PAGE_SIZE);
+        let img: Vec<u8> = (1..=255).cycle().take(PAGE_SIZE as usize + 64).collect();
+        assert!(s.host_load(PAGE_SIZE - 32, &img));
+        let mut buf = vec![0xee; img.len()];
+        s.read_into(PAGE_SIZE - 32, &mut buf);
+        assert_eq!(buf, img);
+        assert_eq!(s.resident_pages(), 3);
+    }
+
+    #[test]
+    fn read_into_absent_pages_zero_fill_without_materializing() {
+        let mut s = PageStore::new(4 * PAGE_SIZE);
+        s.write8(2 * PAGE_SIZE + 3, 0x5a);
+        let mut buf = vec![0xff; 4 * PAGE_SIZE as usize];
+        s.read_into(0, &mut buf);
+        assert_eq!(buf[2 * PAGE_SIZE as usize + 3], 0x5a);
+        assert_eq!(buf.iter().filter(|&&b| b != 0).count(), 1);
+        assert_eq!(s.resident_pages(), 1, "reads never materialize");
+        assert_eq!(s.resident_bytes(), u64::from(PAGE_SIZE));
+    }
+
+    #[test]
+    fn read_into_shared_page_after_snapshot_stays_shared() {
+        let mut a = PageStore::new(2 * PAGE_SIZE);
+        a.write32(PAGE_SIZE - 4, 0x0403_0201);
+        a.write32(PAGE_SIZE, 0x0807_0605);
+        let b = a.snapshot();
+        let mut buf = [0u8; 8];
+        b.read_into(PAGE_SIZE - 4, &mut buf);
+        assert_eq!(buf, [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(b.shared_pages_with(&a), 2, "reads never unshare");
+    }
+
+    #[test]
+    fn read_into_tail_page_and_empty_buffer() {
+        let mut s = PageStore::new(PAGE_SIZE + 16);
+        s.write8(PAGE_SIZE + 15, 9);
+        let mut buf = [0xffu8; 20];
+        s.read_into(PAGE_SIZE - 4, &mut buf);
+        assert_eq!(buf[..19], [0; 19]);
+        assert_eq!(buf[19], 9);
+        s.read_into(PAGE_SIZE + 16, &mut []);
+        assert_eq!(s.resident_pages(), 1);
     }
 
     #[test]

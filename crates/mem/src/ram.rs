@@ -12,6 +12,19 @@ use std::any::Any;
 use crate::device::{BusError, Device};
 use crate::pages::PageStore;
 
+/// Bulk read for [`Ram`]/[`Rom`]: page-slice copies, with the same
+/// error a per-byte loop would hit first when the range runs off the end.
+fn read_store(store: &PageStore, off: u32, buf: &mut [u8]) -> Result<(), BusError> {
+    let size = store.size();
+    if u64::from(off) + buf.len() as u64 > u64::from(size) {
+        return Err(BusError::Unmapped {
+            addr: off.max(size),
+        });
+    }
+    store.read_into(off, buf);
+    Ok(())
+}
+
 /// A plain RAM device (used for both on-chip SRAM and external DRAM).
 #[derive(Debug, Clone)]
 pub struct Ram {
@@ -54,6 +67,12 @@ impl Ram {
         self.store.resident_pages()
     }
 
+    /// Pages physically shared with `other` (fork diagnostics; see
+    /// [`PageStore::shared_pages_with`]).
+    pub fn shared_pages_with(&self, other: &Ram) -> usize {
+        self.store.shared_pages_with(&other.store)
+    }
+
     /// Fills the entire memory with a byte pattern (used to model the
     /// "memory not sanitized across reset" behaviour the Secure Loader
     /// defends against).
@@ -91,6 +110,10 @@ impl Device for Ram {
             return Err(BusError::Unmapped { addr: off });
         }
         Ok(self.store.read8(off))
+    }
+
+    fn read_bytes(&mut self, off: u32, buf: &mut [u8]) -> Result<(), BusError> {
+        read_store(&self.store, off, buf)
     }
 
     fn write8(&mut self, off: u32, value: u8) -> Result<(), BusError> {
@@ -163,6 +186,12 @@ impl Rom {
     pub fn resident_pages(&self) -> usize {
         self.store.resident_pages()
     }
+
+    /// Pages physically shared with `other` (fork diagnostics; see
+    /// [`PageStore::shared_pages_with`]).
+    pub fn shared_pages_with(&self, other: &Rom) -> usize {
+        self.store.shared_pages_with(&other.store)
+    }
 }
 
 impl Device for Rom {
@@ -190,6 +219,10 @@ impl Device for Rom {
             return Err(BusError::Unmapped { addr: off });
         }
         Ok(self.store.read8(off))
+    }
+
+    fn read_bytes(&mut self, off: u32, buf: &mut [u8]) -> Result<(), BusError> {
+        read_store(&self.store, off, buf)
     }
 
     fn write8(&mut self, off: u32, _value: u8) -> Result<(), BusError> {
@@ -284,6 +317,27 @@ mod tests {
         assert!(r.write8(63, 9).is_ok());
         assert_eq!(r.read8(64), Err(BusError::Unmapped { addr: 64 }));
         assert_eq!(r.write8(64, 1), Err(BusError::Unmapped { addr: 64 }));
+    }
+
+    #[test]
+    fn bulk_reads_match_byte_reads_and_bounds() {
+        let mut r = Rom::new(32);
+        assert!(r.host_load(28, &[1, 2, 3, 4]));
+        let mut buf = [0u8; 6];
+        assert_eq!(r.read_bytes(26, &mut buf), Ok(()));
+        assert_eq!(buf, [0, 0, 1, 2, 3, 4]);
+        // Running off the end reports the first byte a byte loop would
+        // have failed on.
+        let mut long = [0u8; 8];
+        assert_eq!(
+            r.read_bytes(28, &mut long),
+            Err(BusError::Unmapped { addr: 32 })
+        );
+        let mut m = Ram::new("sram", 8);
+        assert_eq!(
+            m.read_bytes(40, &mut [0u8; 2]),
+            Err(BusError::Unmapped { addr: 40 })
+        );
     }
 
     #[test]
