@@ -14,12 +14,15 @@
 //! For each (workload, capture level) the same platform is run for an
 //! identical step budget on all three paths, and the harness asserts
 //! they retire the same instruction count, cycle count and
-//! architectural-state digest before reporting speedups: each layer
-//! must be an observably-pure optimisation. Each configuration is timed
-//! several times interleaved and the best run is kept (the usual
-//! defence against scheduler noise on a shared machine; the simulation
-//! itself is deterministic, so repetition only de-noises the wall
-//! clock).
+//! architectural-state digest, and charge the same per-domain cycle
+//! attribution and context-switch count, before reporting speedups:
+//! each layer must be an observably-pure optimisation. Each workload's
+//! `block_metrics_over_off` (block MIPS at Metrics over block MIPS at
+//! Off) is reported as the price of capture Metrics. Each
+//! configuration is timed several times interleaved and the best run
+//! is kept (the usual defence against scheduler noise on a shared
+//! machine; the simulation itself is deterministic, so repetition only
+//! de-noises the wall clock).
 //!
 //! Run: `cargo run -p trustlite-bench --release --bin sim_throughput`
 //! (pass `-- --smoke` for a seconds-long CI-sized run, plus
@@ -56,6 +59,8 @@ struct RunStats {
     instret: u64,
     cycles: u64,
     digest: [u8; 32],
+    attribution: Vec<(String, u64)>,
+    switches: u64,
     mips: f64,
     wall_ms: f64,
     cpu_ms: f64,
@@ -84,6 +89,8 @@ fn run_single(workload: &str, level: ObsLevel, engine: Engine, steps: u64) -> Ru
         instret: p.machine.instret,
         cycles: p.machine.cycles,
         digest: state_digest(&mut p),
+        attribution: p.machine.sys.obs.attr.report(),
+        switches: p.machine.sys.obs.attr.switch_count(),
         mips: p.machine.instret as f64 / secs / 1e6,
         wall_ms: wall_secs * 1e3,
         cpu_ms: secs * 1e3,
@@ -132,7 +139,10 @@ fn main() {
     let mut min_speedup_hot = f64::INFINITY; // across Off + Metrics
     let mut max_block_vs_fast_off = 0.0f64; // superblock acceptance gate
     let mut noisy_runs = 0usize;
+    // Informational: the block path's price of capture Metrics.
+    let mut metrics_over_off: Vec<(&str, f64)> = Vec::new();
     for workload in WORKLOADS {
+        let mut block_off_mips = 0.0;
         for (level, level_name) in LEVELS {
             let [slow, fast, block] = measure(workload, level, steps);
             // Wall/CPU divergence: a best-of-REPS run whose wall time
@@ -170,9 +180,19 @@ fn main() {
                     s.digest, slow.digest,
                     "{workload}/{level_name}: {name} path changed architectural state"
                 );
+                assert_eq!(
+                    (&s.attribution, s.switches),
+                    (&slow.attribution, slow.switches),
+                    "{workload}/{level_name}: {name} path changed cycle attribution"
+                );
             }
             let speedup = block.mips / slow.mips;
             let block_vs_fast = block.mips / fast.mips;
+            match level {
+                ObsLevel::Off => block_off_mips = block.mips,
+                ObsLevel::Metrics => metrics_over_off.push((workload, block.mips / block_off_mips)),
+                _ => {}
+            }
             if matches!(level, ObsLevel::Off) {
                 min_speedup_off = min_speedup_off.min(fast.mips / slow.mips);
                 max_block_vs_fast_off = max_block_vs_fast_off.max(block_vs_fast);
@@ -224,6 +244,13 @@ fn main() {
         "min fast speedup at Off: {min_speedup_off:.2}x (Off/Metrics: {min_speedup_hot:.2}x); \
          max block-vs-fast at Off: {max_block_vs_fast_off:.2}x"
     );
+    let (mut ratios_text, mut ratios_json) = (Vec::new(), Vec::new());
+    for (w, r) in &metrics_over_off {
+        ratios_text.push(format!("{w} {r:.2}x"));
+        ratios_json.push(format!("\"{w}\": {r:.3}"));
+    }
+    println!("block Metrics/Off: {}", ratios_text.join(", "));
+    let metrics_over_off_json = ratios_json.join(", ");
     // Wall-clock assertions are for the real run only; a smoke run's
     // per-run time is dominated by noise and exists to prove the
     // harness and the equality invariants, not the numbers.
@@ -254,6 +281,7 @@ fn main() {
          \"steps_per_run\": {steps},\n  \"min_speedup_off\": {min_speedup_off:.3},\n  \
          \"min_speedup_off_metrics\": {min_speedup_hot:.3},\n  \
          \"max_block_vs_fast_off\": {max_block_vs_fast_off:.3},\n  \
+         \"block_metrics_over_off\": {{{metrics_over_off_json}}},\n  \
          \"noisy_runs\": {noisy_runs},\n  \
          \"runs\": [\n{rows}\n  ]\n}}\n"
     );

@@ -489,9 +489,12 @@ impl Machine {
 
     /// The monomorphized superblock loop. Per micro-op it reproduces the
     /// exact [`Machine::step`] sequence — clock mirror, fetch check (memo
-    /// replay or full check), execute, retire events, cycle/instret
-    /// bump, peripheral tick — so cycles, counters, faults and the Full
-    /// event stream are bit-identical to single-stepping. Exits exactly
+    /// replay or full check), execute, retire events, attribution,
+    /// cycle/instret bump, peripheral tick — so cycles, counters, faults,
+    /// attribution and the event stream are bit-identical to
+    /// single-stepping; the clock mirror and attribution are settled once
+    /// per pass wherever per-op updates provably could not be told
+    /// apart (see the `covered` note in the body). Exits exactly
     /// on: budget exhaustion, a deliverable interrupt becoming pending
     /// (tick-raised IRQs included — the tick runs per op), any block
     /// flush (self-modifying code), a fault, or the end of the block. A
@@ -550,6 +553,20 @@ impl Machine {
         // move `armed`.
         let mut tick_acc = 0u64;
         let mut tick_slack = self.sys.tick_slack();
+        // Observation is settled per pass (CAP >= CAP_METRICS). The
+        // first op of a pass charges through `Recorder::charge` exactly
+        // as single-stepping does (domain switch, `ContextSwitch`
+        // event); if the range it matched covers the whole block, every
+        // later charge of the pass — self-loop restarts included —
+        // would hit attribution's fast path into the same domain, so
+        // the costs sum in `attr_acc` and are settled once on exit or
+        // before a fault enters the exception engine. `now` shadows the
+        // clock mirror: only event emission reads `obs.now()`, so below
+        // Events it is written once, with the value per-op mirroring
+        // would have left (the start cycle of the last op begun).
+        let mut covered = false;
+        let mut attr_acc = 0u64;
+        let mut now = self.sys.obs.now();
         let mut consumed = 0u64;
         let mut retired = 0u64;
         let mut i = 0usize;
@@ -566,21 +583,33 @@ impl Machine {
             if i >= ops.len() {
                 break;
             }
-            // Straight-pure run batching (Off loop only): the run is
+            // Straight-pure run batching (every loop but Full, whose
+            // firehose wants one event pair per op): the run is
             // register-only, fixed-cost, cannot fault, branch, store,
             // or reprogram the MPU, and its fetch checks are already
             // reduced to a counter (`fast_fetch`, or enforcement off).
             // If the whole run fits the remaining budget and stays
             // strictly inside the tick headroom, no per-op check could
             // fire anywhere in it — execute it back-to-back and settle
-            // every counter once. Boundary cases (budget edge, tick
-            // edge, validation pass) fall through to the per-op path.
-            if CAP < CAP_METRICS && (TRUSTED || fast_fetch) && ops[i].run > 1 {
+            // every counter once. With telemetry on, the pass must also
+            // be `covered`, so the run's attribution is one add. Boundary
+            // cases (budget edge, tick edge, validation pass, uncovered
+            // pass) fall through to the per-op path.
+            if CAP < CAP_FULL
+                && (CAP == CAP_OFF || covered)
+                && (TRUSTED || fast_fetch)
+                && ops[i].run > 1
+            {
                 let n = ops[i].run as usize;
                 let rc = ops[i].run_cost as u64;
                 if consumed + n as u64 <= budget && tick_acc + rc < tick_slack {
                     for o in &ops[i..i + n] {
                         Self::exec_pure_straight(&mut self.regs, o.instr);
+                    }
+                    if CAP >= CAP_METRICS {
+                        // The last op's own `run_cost` is its cost.
+                        now = cycles + rc - ops[i + n - 1].run_cost as u64;
+                        attr_acc += rc;
                     }
                     i += n;
                     pc = start.wrapping_add(4 * i as u32);
@@ -605,7 +634,10 @@ impl Machine {
             }
             let op = &mut ops[i];
             if CAP >= CAP_METRICS {
-                self.sys.obs.set_now(cycles);
+                now = cycles;
+                if CAP >= CAP_EVENTS {
+                    self.sys.obs.set_now(cycles);
+                }
             }
             let subject = prev_ip;
             let mut deferred_fetch_event = false;
@@ -653,6 +685,9 @@ impl Machine {
                     match self.sys.block_fetch_cold(subject, pc) {
                         Ok(memo) => op.fetch = memo,
                         Err(f) => {
+                            if CAP >= CAP_METRICS {
+                                self.settle_obs(std::mem::take(&mut attr_acc), now);
+                            }
                             let _ = self.sys.tick_quick(std::mem::take(&mut tick_acc));
                             self.cycles = cycles;
                             self.instret = instret;
@@ -703,7 +738,14 @@ impl Machine {
                                 self.sys.obs.emit_fine(event);
                             }
                         }
-                        self.sys.obs.charge(pc, cost);
+                        if covered {
+                            attr_acc += cost;
+                        } else {
+                            self.sys.obs.charge(pc, cost);
+                            if i == 0 {
+                                covered = self.sys.obs.attr.covers(start, 4 * len);
+                            }
+                        }
                     }
                     cycles += cost;
                     instret += 1;
@@ -802,6 +844,9 @@ impl Machine {
                             verdict: trustlite_obs::Verdict::Allow,
                         });
                     }
+                    if CAP >= CAP_METRICS {
+                        self.settle_obs(std::mem::take(&mut attr_acc), now);
+                    }
                     let _ = self.sys.tick_quick(std::mem::take(&mut tick_acc));
                     self.cycles = cycles;
                     self.instret = instret;
@@ -817,6 +862,9 @@ impl Machine {
         if tick_acc != 0 {
             let _ = self.sys.tick_quick(tick_acc);
         }
+        if CAP >= CAP_METRICS {
+            self.settle_obs(attr_acc, now);
+        }
         self.cycles = cycles;
         self.instret = instret;
         self.prev_ip = prev_ip;
@@ -827,6 +875,14 @@ impl Machine {
         self.sys.block_put_ops(idx, start, ops);
         self.sys.note_block_exec(retired);
         consumed
+    }
+
+    /// Settles a block pass's deferred observation: the attribution
+    /// batched against a covering range, and the clock mirror.
+    #[inline(always)]
+    fn settle_obs(&mut self, attr_acc: u64, now: u64) {
+        self.sys.obs.attr.charge_current(attr_acc);
+        self.sys.obs.set_now(now);
     }
 
     /// Data-memo replay for a memoised block load: same counter effects

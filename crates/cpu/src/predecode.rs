@@ -281,10 +281,11 @@ pub struct MicroOp {
     /// Number of consecutive *straight-pure* ops starting here (zero
     /// when this op is not itself straight-pure): register-only,
     /// non-control-flow, fixed-cost ops that cannot fault, touch the
-    /// bus, reprogram the MPU, or leave the fall-through path. The Off
-    /// loop executes such a run back-to-back with every per-op check
-    /// hoisted, once the run provably fits the quantum budget and the
-    /// tick headroom.
+    /// bus, reprogram the MPU, or leave the fall-through path. Every
+    /// block loop below Full executes such a run back-to-back with every
+    /// per-op check hoisted, once the run provably fits the quantum
+    /// budget and the tick headroom (and, with telemetry on, the pass's
+    /// attribution is covered by one range).
     pub run: u8,
     /// Total static cycle cost of that run.
     pub run_cost: u16,

@@ -4,8 +4,11 @@
 //! interpreted path and the superblock path, at every capture level,
 //! with MPU enforcement both off and on. The two paths must agree on
 //! registers, cycle/instret counters, a memory digest, the recorded
-//! event count and the per-domain cycle attribution: the block engine
-//! has to be observably pure even on adversarial code shapes.
+//! event count (and, at Events and Full, every recorded event), the
+//! per-domain cycle attribution, the context-switch count and the
+//! recorder's clock mirror: the block engine has to be observably pure
+//! even on adversarial code shapes, including passes whose attribution
+//! it settles once per pass.
 
 use proptest::prelude::*;
 use trustlite_cpu::{Engine, Machine, SystemBus};
@@ -13,7 +16,7 @@ use trustlite_isa::instr::{AluOp, Cond};
 use trustlite_isa::{encode, Instr, Reg};
 use trustlite_mem::{Bus, Ram};
 use trustlite_mpu::{EaMpu, Perms, RuleSlot, Subject};
-use trustlite_obs::ObsLevel;
+use trustlite_obs::{Event, ObsLevel};
 
 const CODE: u32 = 0x1000_0000;
 const DATA: u32 = 0x1001_0000;
@@ -136,7 +139,10 @@ struct Observed {
     instret: u64,
     mem: Vec<u8>,
     events: u64,
+    ring: Vec<Event>,
     attribution: Vec<(String, u64)>,
+    switches: u64,
+    now: u64,
 }
 
 fn run_soup(
@@ -199,7 +205,10 @@ fn run_soup(
         instret: m.instret,
         mem,
         events: m.sys.obs.ring.len() as u64 + m.sys.obs.ring.dropped(),
+        ring: m.sys.obs.ring.iter().cloned().collect(),
         attribution: m.sys.obs.attr.report(),
+        switches: m.sys.obs.attr.switch_count(),
+        now: m.sys.obs.now(),
     }
 }
 
@@ -225,10 +234,18 @@ proptest! {
             );
             prop_assert!(block.mem == slow.mem, "{:?}/{}: memory diverged", level, enforce);
             prop_assert_eq!(block.events, slow.events, "{:?}/{}: event count", level, enforce);
+            if level >= ObsLevel::Events {
+                prop_assert!(block.ring == slow.ring, "{:?}/{}: event stream", level, enforce);
+            }
             prop_assert_eq!(
                 block.attribution, slow.attribution,
                 "{:?}/{}: cycle attribution", level, enforce
             );
+            prop_assert_eq!(
+                block.switches, slow.switches,
+                "{:?}/{}: context switches", level, enforce
+            );
+            prop_assert_eq!(block.now, slow.now, "{:?}/{}: clock mirror", level, enforce);
         }
     }
 }

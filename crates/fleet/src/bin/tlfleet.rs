@@ -152,6 +152,7 @@ fn main() {
     };
 
     let chaos_on = cfg.chaos.enabled();
+    let level = cfg.level;
     let campaign_desc = cfg.campaign.as_ref().map(|c| {
         format!(
             "campaign(canary {}%, failure budget {}, {} confirm attempts, version {})",
@@ -210,15 +211,16 @@ fn main() {
         if !report.flight_dumps.is_empty() {
             println!("flight dumps captured: {}", report.flight_dumps.len());
         }
-        println!(
-            "loader runs (merged): {}",
-            report
-                .merged
-                .counters
-                .get("loader.runs")
-                .copied()
-                .unwrap_or(0)
-        );
+        // The loader counts its runs in the metrics registry, which
+        // capture Off leaves empty: say so instead of printing a zero.
+        let loader_runs = match level {
+            ObsLevel::Off => "n/a (telemetry off)".to_string(),
+            _ => {
+                let runs = report.merged.counters.get("loader.runs").copied();
+                runs.unwrap_or(0).to_string()
+            }
+        };
+        println!("loader runs (merged): {loader_runs}");
         if rollback_report && report.campaign {
             for (id, s) in report.campaign_states.iter().enumerate() {
                 println!("device {id}: {}", s.label());

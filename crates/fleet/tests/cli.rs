@@ -263,3 +263,25 @@ fn reference_mode_flags_are_not_options() {
         );
     }
 }
+
+#[test]
+fn loader_runs_are_unavailable_at_capture_off_not_zero() {
+    let loader_line = |level: &str| {
+        let out = tlfleet()
+            .args(SMALL)
+            .args(["--level", level])
+            .output()
+            .expect("spawn tlfleet");
+        assert!(out.status.success(), "--level {level} run must succeed");
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .find_map(|l| l.strip_prefix("loader runs (merged): ").map(str::to_string))
+            .unwrap_or_else(|| panic!("--level {level}: no loader line"))
+    };
+    // The loader ran at boot either way; capture Off just did not count it.
+    assert_eq!(loader_line("off"), "n/a (telemetry off)");
+    let runs: u64 = loader_line("metrics")
+        .parse()
+        .expect("capture Metrics reports a number");
+    assert!(runs >= 1, "the boot itself is a loader run");
+}

@@ -177,6 +177,43 @@ impl Attribution {
         result
     }
 
+    /// True when every charge to an IP in `[lo, lo + len)` would take
+    /// [`Attribution::charge`]'s fast path into the domain of the
+    /// previous charge: the engine is primed, and the window lies inside
+    /// the range that charge matched — or, when it landed in the
+    /// catch-all, outside every registered range. Such charges can never
+    /// switch, so a caller may sum them and settle the total once with
+    /// [`Attribution::charge_current`]. Conservative: a window spanning
+    /// two ranges of one domain is not covered.
+    pub fn covers(&self, lo: u32, len: u32) -> bool {
+        if !self.primed {
+            return false;
+        }
+        let (lo, hi) = (u64::from(lo), u64::from(lo) + u64::from(len));
+        match self.last {
+            Some(_) => {
+                let s = u64::from(self.last_lo);
+                lo >= s && hi <= s + u64::from(self.last_len)
+            }
+            None => self
+                .domains
+                .iter()
+                .flat_map(|d| &d.ranges)
+                .all(|&(s, e)| hi <= u64::from(s) || lo >= u64::from(e)),
+        }
+    }
+
+    /// Adds `cost` cycles to the domain of the previous charge — what
+    /// [`Attribution::charge`] does for any IP inside a window that
+    /// [`Attribution::covers`] vouched for.
+    #[inline]
+    pub fn charge_current(&mut self, cost: u64) {
+        match self.last {
+            Some(i) => self.counts[i] += cost,
+            None => self.other += cost,
+        }
+    }
+
     /// Charges `cost` cycles to a named pseudo-domain (e.g. the
     /// exception engine).
     pub fn charge_special(&mut self, name: &str, cost: u64) {
@@ -266,6 +303,69 @@ mod tests {
         a.charge(0x50, 1);
         a.charge(0x850, 2);
         assert_eq!(a.report(), vec![("loader".to_string(), 3)]);
+    }
+
+    #[test]
+    fn covers_is_exact_at_range_ends() {
+        let mut a = setup();
+        a.charge(0x1100, 1);
+        assert!(a.covers(0x1000, 0x1000), "the whole matched range");
+        assert!(a.covers(0x1ffc, 4), "last word of the range");
+        assert!(!a.covers(0x1ffc, 8), "one word past the end");
+        assert!(!a.covers(0xffc, 8), "one word before the start");
+        assert!(!a.covers(0x4000, 4), "another domain");
+    }
+
+    #[test]
+    fn covers_a_multi_range_domain_one_range_at_a_time() {
+        let mut a = Attribution::default();
+        a.register("loader", &[(0x0, 0x100), (0x100, 0x200)]);
+        a.charge(0x80, 1);
+        assert!(a.covers(0x0, 0x100));
+        assert!(
+            !a.covers(0xf0, 0x20),
+            "straddling two ranges of one domain is conservatively uncovered"
+        );
+        a.charge(0x180, 1);
+        assert!(a.covers(0x100, 0x100), "the range the last charge matched");
+        assert!(!a.covers(0x0, 0x100));
+    }
+
+    #[test]
+    fn covers_the_catch_all_only_clear_of_every_range() {
+        let mut a = setup();
+        a.charge(0x9000, 1);
+        assert_eq!(a.current_domain(), OTHER_DOMAIN);
+        assert!(a.covers(0x2000, 0x2000), "the gap between os and t0");
+        assert!(!a.covers(0x1ffc, 8), "touches the end of os");
+        assert!(!a.covers(0x3ffc, 8), "touches the start of t0");
+        a.charge_current(5);
+        assert_eq!(a.report().last(), Some(&("other".to_string(), 6)));
+    }
+
+    #[test]
+    fn unprimed_engine_covers_nothing() {
+        let mut a = setup();
+        assert!(!a.covers(0x1100, 4), "the first charge must run in full");
+        assert!(!a.covers(0x9000, 4), "not even the catch-all");
+        a.charge(0x1100, 1);
+        a.clear_counts();
+        assert!(!a.covers(0x1100, 4), "clearing unprimes");
+    }
+
+    #[test]
+    fn charge_current_matches_per_op_charges() {
+        let mut per_op = setup();
+        let mut batched = setup();
+        per_op.charge(0x4000, 3);
+        batched.charge(0x4000, 3);
+        assert!(batched.covers(0x4000, 0x20));
+        for ip in (0x4004..0x4020).step_by(4) {
+            assert_eq!(per_op.charge(ip, 2), None);
+        }
+        batched.charge_current(2 * 7);
+        assert_eq!(batched.report(), per_op.report());
+        assert_eq!(batched.switch_count(), per_op.switch_count());
     }
 
     #[test]
