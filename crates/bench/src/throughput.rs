@@ -34,7 +34,8 @@ pub const WORKLOADS: [&str; 4] = ["quickstart", "checksum", "preemptive_os", "tr
 
 /// Builds the named throughput workload at the given capture level.
 ///
-/// Panics on an unknown name (the set is [`WORKLOADS`]).
+/// Panics on an unknown name (the set is [`WORKLOADS`]); callers taking
+/// the name from user input check it first, as `Fleet::boot` does.
 pub fn build_workload(name: &str, level: ObsLevel) -> Platform {
     match name {
         "quickstart" => quickstart(level),

@@ -46,6 +46,8 @@ pub enum TrustliteError {
     /// A fleet configuration is degenerate: the named knob is zero where
     /// a nonzero value is required (e.g. `devices`, `rounds`).
     DegenerateFleet { what: &'static str },
+    /// A fleet configuration names a workload the fleet cannot build.
+    UnknownWorkload(String),
 }
 
 impl fmt::Display for TrustliteError {
@@ -64,6 +66,7 @@ impl fmt::Display for TrustliteError {
                 write!(f, "SRAM exhausted allocating {requested:#x} bytes")
             }
             TrustliteError::UnknownTrustlet(n) => write!(f, "unknown trustlet `{n}`"),
+            TrustliteError::UnknownWorkload(n) => write!(f, "unknown workload `{n}`"),
             TrustliteError::DuplicateTrustlet(n) => write!(f, "duplicate trustlet `{n}`"),
             TrustliteError::BadFirmware(m) => write!(f, "malformed PROM firmware: {m}"),
             TrustliteError::AuthFailed(n) => {

@@ -8,9 +8,9 @@ use trustlite_obs::{Event, MetricsReport, ObsLevel};
 
 use crate::costs;
 use crate::fault::Fault;
-use crate::predecode::{DataMemo, MicroOp};
+use crate::predecode::MicroOp;
 use crate::regs::{Flags, RegFile};
-use crate::sysbus::{Engine, SystemBus};
+use crate::sysbus::{Checked, DataPort, Engine, MemoReplay, SystemBus};
 use crate::ttable::{self, TrustletRow};
 use crate::vectors;
 
@@ -426,8 +426,8 @@ impl Machine {
 
     /// Runs until halt or `max_steps` step events.
     ///
-    /// When the superblock cache is enabled this dispatches whole cached
-    /// blocks per iteration ([`Machine::step_block`]); the step budget is
+    /// Under [`Engine::Superblock`] (the default) this dispatches whole
+    /// cached blocks per iteration ([`Machine::step_block`]); the step budget is
     /// still accounted per step event, so `run(n)` stops the machine in
     /// exactly the state `n` calls to [`Machine::step`] would.
     /// [`Machine::run_until`] deliberately stays on the per-instruction
@@ -512,9 +512,9 @@ impl Machine {
         let ie = self.regs.flags.ie;
         // The architectural counters and the fetch subject live in
         // locals for the whole quantum so the loop body keeps them in
-        // registers; every exit flushes them back, and the fault paths
-        // (whose exception entry reads and charges `self.cycles`) flush
-        // before and reload after.
+        // registers; every exit flushes them back, a fault's before the
+        // exception engine reads and charges `self.cycles` and makes the
+        // handler the fetch subject.
         let mut cycles = self.cycles;
         let mut instret = self.instret;
         let mut prev_ip = self.prev_ip;
@@ -569,6 +569,7 @@ impl Machine {
         let mut now = self.sys.obs.now();
         let mut consumed = 0u64;
         let mut retired = 0u64;
+        let mut fault = None;
         let mut i = 0usize;
         let mut pc = start;
         loop {
@@ -603,8 +604,13 @@ impl Machine {
                 let n = ops[i].run as usize;
                 let rc = ops[i].run_cost as u64;
                 if consumed + n as u64 <= budget && tick_acc + rc < tick_slack {
+                    // Each op runs through the stepper's own arm; the ip
+                    // and cost it returns are superseded by the single
+                    // `ip` write and `run_cost` charge below.
+                    let mut at = pc;
                     for o in &ops[i..i + n] {
-                        Self::exec_pure_straight(&mut self.regs, o.instr);
+                        let _ = Self::exec_pure(&mut self.regs, at, o.instr);
+                        at = at.wrapping_add(4);
                     }
                     if CAP >= CAP_METRICS {
                         // The last op's own `run_cost` is its cost.
@@ -685,17 +691,7 @@ impl Machine {
                     match self.sys.block_fetch_cold(subject, pc) {
                         Ok(memo) => op.fetch = memo,
                         Err(f) => {
-                            if CAP >= CAP_METRICS {
-                                self.settle_obs(std::mem::take(&mut attr_acc), now);
-                            }
-                            let _ = self.sys.tick_quick(std::mem::take(&mut tick_acc));
-                            self.cycles = cycles;
-                            self.instret = instret;
-                            self.prev_ip = prev_ip;
-                            self.take_fault(f);
-                            cycles = self.cycles;
-                            instret = self.instret;
-                            consumed += 1;
+                            fault = Some(f);
                             break;
                         }
                     }
@@ -844,17 +840,7 @@ impl Machine {
                             verdict: trustlite_obs::Verdict::Allow,
                         });
                     }
-                    if CAP >= CAP_METRICS {
-                        self.settle_obs(std::mem::take(&mut attr_acc), now);
-                    }
-                    let _ = self.sys.tick_quick(std::mem::take(&mut tick_acc));
-                    self.cycles = cycles;
-                    self.instret = instret;
-                    self.prev_ip = prev_ip;
-                    self.take_fault(f);
-                    cycles = self.cycles;
-                    instret = self.instret;
-                    consumed += 1;
+                    fault = Some(f);
                     break;
                 }
             }
@@ -868,6 +854,14 @@ impl Machine {
         self.cycles = cycles;
         self.instret = instret;
         self.prev_ip = prev_ip;
+        if let Some(f) = fault {
+            // The one fault exit, for fetch and execute faults alike: the
+            // pass is settled above, so the exception engine reads and
+            // charges exact counters, and the handler it enters stays the
+            // next fetch subject. The faulting op is one step event.
+            self.take_fault(f);
+            consumed += 1;
+        }
         if !TRUSTED {
             self.sys.mpu.add_replay_hits(fetch_slot, fetch_hits);
             self.sys.mpu.flush_replays();
@@ -885,78 +879,13 @@ impl Machine {
         self.sys.obs.set_now(now);
     }
 
-    /// Data-memo replay for a memoised block load: same counter effects
-    /// as the full check (see `EaMpu::check_cached_window`), falling
-    /// back to the cold path when the memo is absent, stale, or the
-    /// address left the memoised window.
-    #[inline(always)]
-    fn block_read32(
-        &mut self,
-        data: &mut DataMemo,
-        pc: u32,
-        addr: u32,
-        hot_epoch: u64,
-    ) -> Result<u32, Fault> {
-        if let Some((epoch, slot, lo, len)) = *data {
-            if hot_epoch != 0 && epoch == hot_epoch && addr.wrapping_sub(lo) < len {
-                self.sys.mpu.replay_hit(slot);
-                return self.sys.read32_routed(pc, addr);
-            }
-            if self
-                .sys
-                .mpu
-                .check_cached_window(pc, epoch, slot, lo, len, addr)
-            {
-                return self.sys.read32_routed(pc, addr);
-            }
-        }
-        let (v, memo) = self.sys.block_load32_cold(pc, addr)?;
-        if memo.is_some() {
-            *data = memo;
-        }
-        Ok(v)
-    }
-
-    /// Data-memo replay for a memoised block store; see
-    /// [`Machine::block_read32`].
-    #[inline(always)]
-    fn block_write32(
-        &mut self,
-        data: &mut DataMemo,
-        pc: u32,
-        addr: u32,
-        value: u32,
-        hot_epoch: u64,
-    ) -> Result<(), Fault> {
-        if let Some((epoch, slot, lo, len)) = *data {
-            if hot_epoch != 0 && epoch == hot_epoch && addr.wrapping_sub(lo) < len {
-                self.sys.mpu.replay_hit(slot);
-                return self.sys.write32_routed(pc, addr, value);
-            }
-            if self
-                .sys
-                .mpu
-                .check_cached_window(pc, epoch, slot, lo, len, addr)
-            {
-                return self.sys.write32_routed(pc, addr, value);
-            }
-        }
-        let memo = self.sys.block_store32_cold(pc, addr, value)?;
-        if memo.is_some() {
-            *data = memo;
-        }
-        Ok(())
-    }
-
-    /// Executes one superblock micro-op. Register-only instructions run
-    /// through [`Machine::exec_pure`] (shared with the per-step
-    /// interpreter); word-sized memory ops — `Lw`, `Sw`, `Push`, `Pop`,
-    /// `Pushf`, `Call`, `Callr`, `Ret` — replay the op's data-grant
-    /// memo when enforcement is on and the firehose is off (the
-    /// memoized path produces no `MpuCheck` events, so it is statically
-    /// absent from the `CAP_FULL` loop); everything else runs the
-    /// ordinary [`Machine::exec`] arm. The block builder excludes
-    /// `Halt`/`Swi`, so `Done` is the only reachable outcome.
+    /// Executes one superblock micro-op through the stepper's own arms:
+    /// register-only ops through [`Machine::exec_pure`], data-memory ops
+    /// through [`Machine::exec_mem`] with the data port the loop allows —
+    /// grant-memo replay ([`MemoReplay`]) when enforcement is on and the
+    /// firehose is off, the full check otherwise (the memoised path
+    /// produces no `MpuCheck` events, so it is statically absent from the
+    /// `CAP_FULL` loop). The block builder admits no other instruction.
     #[inline(always)]
     fn exec_op<const CAP: u8, const TRUSTED: bool>(
         &mut self,
@@ -964,84 +893,24 @@ impl Machine {
         pc: u32,
         hot_epoch: u64,
     ) -> Result<u64, Fault> {
-        // `pure` (build-time) is exactly "exec_pure handles it": the
-        // builder rejects system terminators and flags every
-        // memory-touching op impure, so this single predictable branch
-        // picks the right decoder without a second discriminant match.
+        // `pure` (build-time) is exactly "exec_pure handles it", so this
+        // single predictable branch picks the right arm set.
         if op.pure {
-            return Ok(Self::exec_pure(&mut self.regs, pc, op.instr)
-                .expect("pure micro-ops are register-only"));
+            let (next, cost) = Self::exec_pure(&mut self.regs, pc, op.instr)
+                .expect("pure micro-ops are register-only");
+            self.regs.ip = next;
+            return Ok(cost);
         }
-        if !TRUSTED && CAP < CAP_FULL {
-            let next = pc.wrapping_add(4);
-            match op.instr {
-                Instr::Lw { rd, rs1, disp } => {
-                    let addr = self.regs.get(rs1).wrapping_add(disp as i32 as u32);
-                    let v = self.block_read32(&mut op.data, pc, addr, hot_epoch)?;
-                    self.regs.set(rd, v);
-                    self.regs.ip = next;
-                    return Ok(costs::BASE + costs::MEM_EXTRA);
-                }
-                Instr::Sw { rs1, rs2, disp } => {
-                    let addr = self.regs.get(rs1).wrapping_add(disp as i32 as u32);
-                    let v = self.regs.get(rs2);
-                    self.block_write32(&mut op.data, pc, addr, v, hot_epoch)?;
-                    self.regs.ip = next;
-                    return Ok(costs::BASE + costs::MEM_EXTRA);
-                }
-                Instr::Push { rs } => {
-                    let v = self.regs.get(rs);
-                    let new_sp = self.regs.sp.wrapping_sub(4);
-                    self.block_write32(&mut op.data, pc, new_sp, v, hot_epoch)?;
-                    self.regs.sp = new_sp;
-                    self.regs.ip = next;
-                    return Ok(costs::BASE + costs::MEM_EXTRA);
-                }
-                Instr::Pop { rd } => {
-                    let v = self.block_read32(&mut op.data, pc, self.regs.sp, hot_epoch)?;
-                    self.regs.sp = self.regs.sp.wrapping_add(4);
-                    self.regs.set(rd, v);
-                    self.regs.ip = next;
-                    return Ok(costs::BASE + costs::MEM_EXTRA);
-                }
-                Instr::Pushf => {
-                    let v = self.regs.flags.to_word();
-                    let new_sp = self.regs.sp.wrapping_sub(4);
-                    self.block_write32(&mut op.data, pc, new_sp, v, hot_epoch)?;
-                    self.regs.sp = new_sp;
-                    self.regs.ip = next;
-                    return Ok(costs::BASE + costs::MEM_EXTRA);
-                }
-                Instr::Call { off } => {
-                    let new_sp = self.regs.sp.wrapping_sub(4);
-                    self.block_write32(&mut op.data, pc, new_sp, next, hot_epoch)?;
-                    self.regs.sp = new_sp;
-                    self.regs.ip = next.wrapping_add(off as i32 as u32);
-                    return Ok(costs::BASE + costs::MEM_EXTRA + costs::TAKEN_CF);
-                }
-                Instr::Callr { rs1 } => {
-                    let target = self.regs.get(rs1);
-                    let new_sp = self.regs.sp.wrapping_sub(4);
-                    self.block_write32(&mut op.data, pc, new_sp, next, hot_epoch)?;
-                    self.regs.sp = new_sp;
-                    self.regs.ip = target;
-                    return Ok(costs::BASE + costs::MEM_EXTRA + costs::TAKEN_CF);
-                }
-                Instr::Ret => {
-                    let target = self.block_read32(&mut op.data, pc, self.regs.sp, hot_epoch)?;
-                    self.regs.sp = self.regs.sp.wrapping_add(4);
-                    self.regs.ip = target;
-                    return Ok(costs::BASE + costs::MEM_EXTRA + costs::TAKEN_CF);
-                }
-                _ => {}
-            }
-        }
-        match self.exec(pc, op.instr)? {
-            Exec::Done(cost) => Ok(cost),
-            Exec::Halt | Exec::Swi(_) => {
-                unreachable!("system instructions are never block micro-ops")
-            }
-        }
+        let cost = if !TRUSTED && CAP < CAP_FULL {
+            let port = MemoReplay {
+                memo: &mut op.data,
+                hot_epoch,
+            };
+            self.exec_mem(pc, op.instr, port)?
+        } else {
+            self.exec_mem(pc, op.instr, Checked)?
+        };
+        Ok(cost.expect("impure micro-ops are data-memory ops"))
     }
 
     fn take_fault(&mut self, f: Fault) -> StepOutcome {
@@ -1247,164 +1116,80 @@ impl Machine {
     }
 
     /// Executes a register-only instruction — no bus, MPU, flag or
-    /// telemetry traffic, no way to fault — returning its cost, or
-    /// `None` when the instruction needs a full [`Machine::exec`] arm.
-    /// Shared by the per-step interpreter and the superblock loop
-    /// Executes one op of a straight-pure run (see `MicroOp::run`):
-    /// register file only — the caller advances `ip` once for the whole
-    /// run and charges the precomputed `run_cost`, so nothing here can
-    /// fault, branch, or touch a counter.
+    /// telemetry traffic, no way to fault — returning the next `ip` and
+    /// its cost (the caller writes `ip`), or `None` when the instruction
+    /// needs another arm.
+    ///
+    /// The one definition of these instructions: the per-step
+    /// interpreter, the superblock loop's per-op path and its
+    /// straight-pure runs all execute them here (inlined, keeping the
+    /// monomorphized hot path call-free for the ALU/branch ops that
+    /// dominate real instruction mixes), and the block builder derives a
+    /// straight op's static cost from it.
     #[inline(always)]
-    fn exec_pure_straight(r: &mut RegFile, i: Instr) {
+    pub(crate) fn exec_pure(r: &mut RegFile, ip: u32, i: Instr) -> Option<(u32, u64)> {
+        use trustlite_isa::instr::AluOp;
+        let next = ip.wrapping_add(4);
+        let taken = |target: u32| Some((target, costs::BASE + costs::TAKEN_CF));
+        let mut cost = costs::BASE;
         match i {
             Instr::Nop => {}
             Instr::Alu { op, rd, rs1, rs2 } => {
                 let v = op.apply(r.get(rs1), r.get(rs2));
                 r.set(rd, v);
-            }
-            Instr::Mov { rd, rs1 } => {
-                let v = r.get(rs1);
-                r.set(rd, v);
-            }
-            Instr::Not { rd, rs1 } => {
-                let v = !r.get(rs1);
-                r.set(rd, v);
-            }
-            Instr::Addi { rd, rs1, imm } => {
-                let v = r.get(rs1).wrapping_add(imm as i32 as u32);
-                r.set(rd, v);
-            }
-            Instr::Andi { rd, rs1, imm } => {
-                let v = r.get(rs1) & imm as u32;
-                r.set(rd, v);
-            }
-            Instr::Ori { rd, rs1, imm } => {
-                let v = r.get(rs1) | imm as u32;
-                r.set(rd, v);
-            }
-            Instr::Xori { rd, rs1, imm } => {
-                let v = r.get(rs1) ^ imm as u32;
-                r.set(rd, v);
-            }
-            Instr::Shli { rd, rs1, imm } => {
-                let v = r.get(rs1).wrapping_shl(imm as u32);
-                r.set(rd, v);
-            }
-            Instr::Shri { rd, rs1, imm } => {
-                let v = r.get(rs1).wrapping_shr(imm as u32);
-                r.set(rd, v);
-            }
-            Instr::Srai { rd, rs1, imm } => {
-                let v = ((r.get(rs1) as i32) >> imm) as u32;
-                r.set(rd, v);
-            }
-            Instr::Movi { rd, imm } => {
-                r.set(rd, imm as i32 as u32);
-            }
-            Instr::Lui { rd, imm } => {
-                r.set(rd, (imm as u32) << 16);
-            }
-            _ => unreachable!("straight-pure runs hold register-only ops"),
-        }
-    }
-
-    /// Executes a register-only instruction — no bus, MPU, flag or
-    /// telemetry traffic, no way to fault — returning its cost, or
-    /// `None` when the instruction needs a full [`Machine::exec`] arm.
-    /// Shared by the per-step interpreter and the superblock loop
-    /// (where it inlines, keeping the monomorphized hot path call-free
-    /// for the ALU/branch ops that dominate real instruction mixes).
-    #[inline(always)]
-    fn exec_pure(r: &mut RegFile, ip: u32, i: Instr) -> Option<u64> {
-        let next = ip.wrapping_add(4);
-        let cost = match i {
-            Instr::Nop => {
-                r.ip = next;
-                costs::BASE
-            }
-            Instr::Alu { op, rd, rs1, rs2 } => {
-                use trustlite_isa::instr::AluOp;
-                let v = op.apply(r.get(rs1), r.get(rs2));
-                r.set(rd, v);
-                r.ip = next;
-                let extra = match op {
+                cost += match op {
                     AluOp::Mul => costs::MUL_EXTRA,
                     AluOp::Divu | AluOp::Remu => costs::DIV_EXTRA,
                     _ => 0,
                 };
-                costs::BASE + extra
             }
             Instr::Mov { rd, rs1 } => {
                 let v = r.get(rs1);
                 r.set(rd, v);
-                r.ip = next;
-                costs::BASE
             }
             Instr::Not { rd, rs1 } => {
                 let v = !r.get(rs1);
                 r.set(rd, v);
-                r.ip = next;
-                costs::BASE
             }
             Instr::Addi { rd, rs1, imm } => {
                 let v = r.get(rs1).wrapping_add(imm as i32 as u32);
                 r.set(rd, v);
-                r.ip = next;
-                costs::BASE
             }
             Instr::Andi { rd, rs1, imm } => {
                 let v = r.get(rs1) & imm as u32;
                 r.set(rd, v);
-                r.ip = next;
-                costs::BASE
             }
             Instr::Ori { rd, rs1, imm } => {
                 let v = r.get(rs1) | imm as u32;
                 r.set(rd, v);
-                r.ip = next;
-                costs::BASE
             }
             Instr::Xori { rd, rs1, imm } => {
                 let v = r.get(rs1) ^ imm as u32;
                 r.set(rd, v);
-                r.ip = next;
-                costs::BASE
             }
             Instr::Shli { rd, rs1, imm } => {
                 let v = r.get(rs1).wrapping_shl(imm as u32);
                 r.set(rd, v);
-                r.ip = next;
-                costs::BASE
             }
             Instr::Shri { rd, rs1, imm } => {
                 let v = r.get(rs1).wrapping_shr(imm as u32);
                 r.set(rd, v);
-                r.ip = next;
-                costs::BASE
             }
             Instr::Srai { rd, rs1, imm } => {
                 let v = ((r.get(rs1) as i32) >> imm) as u32;
                 r.set(rd, v);
-                r.ip = next;
-                costs::BASE
             }
             Instr::Movi { rd, imm } => {
                 r.set(rd, imm as i32 as u32);
-                r.ip = next;
-                costs::BASE
             }
             Instr::Lui { rd, imm } => {
                 r.set(rd, (imm as u32) << 16);
-                r.ip = next;
-                costs::BASE
             }
             Instr::Jmp { off } => {
-                r.ip = next.wrapping_add(off as i32 as u32);
-                costs::BASE + costs::TAKEN_CF
+                return taken(next.wrapping_add(off as i32 as u32));
             }
             Instr::Jr { rs1 } => {
-                r.ip = r.get(rs1);
-                costs::BASE + costs::TAKEN_CF
+                return taken(r.get(rs1));
             }
             Instr::Branch {
                 cond,
@@ -1413,20 +1198,124 @@ impl Machine {
                 off,
             } => {
                 if cond.eval(r.get(rs1), r.get(rs2)) {
-                    r.ip = next.wrapping_add(off as i32 as u32);
-                    costs::BASE + costs::TAKEN_CF
-                } else {
-                    r.ip = next;
-                    costs::BASE
+                    return taken(next.wrapping_add(off as i32 as u32));
                 }
             }
             _ => return None,
-        };
-        Some(cost)
+        }
+        Some((next, cost))
     }
 
+    /// Executes a block-eligible data-memory instruction — every
+    /// [`Instr::is_memory`] op but `Popf` — returning its cost, or
+    /// `Ok(None)` for any other instruction. The one definition of these
+    /// instructions for both interpreters: the word-sized accesses (`Lw`,
+    /// `Sw`, `Push`, `Pop`, `Pushf`, `Call`, `Callr`, `Ret`) go through
+    /// `port` (see [`DataPort`]), so the per-step interpreter plugs in
+    /// the full check and the superblock loop its grant-memo replay.
+    #[inline(always)]
+    pub(crate) fn exec_mem<P: DataPort>(
+        &mut self,
+        ip: u32,
+        i: Instr,
+        mut port: P,
+    ) -> Result<Option<u64>, Fault> {
+        let next = ip.wrapping_add(4);
+        let ea = |r: &RegFile, rs1: Reg, disp: i16| r.get(rs1).wrapping_add(disp as i32 as u32);
+        let (r, sys) = (&mut self.regs, &mut self.sys);
+        let pushed = r.sp.wrapping_sub(4);
+        let popped = r.sp.wrapping_add(4);
+        let new_ip = match i {
+            Instr::Lw { rd, rs1, disp } => {
+                let v = port.load32(sys, ip, ea(r, rs1, disp))?;
+                r.set(rd, v);
+                next
+            }
+            Instr::Sw { rs1, rs2, disp } => {
+                port.store32(sys, ip, ea(r, rs1, disp), r.get(rs2))?;
+                next
+            }
+            Instr::Lb { rd, rs1, disp } => {
+                let v = sys.load8(ip, ea(r, rs1, disp))?;
+                r.set(rd, v as u32);
+                next
+            }
+            Instr::Lbs { rd, rs1, disp } => {
+                let v = sys.load8(ip, ea(r, rs1, disp))?;
+                r.set(rd, v as i8 as i32 as u32);
+                next
+            }
+            Instr::Lh { rd, rs1, disp } => {
+                let v = sys.load16(ip, ea(r, rs1, disp))?;
+                r.set(rd, v as u32);
+                next
+            }
+            Instr::Lhs { rd, rs1, disp } => {
+                let v = sys.load16(ip, ea(r, rs1, disp))?;
+                r.set(rd, v as i16 as i32 as u32);
+                next
+            }
+            Instr::Sh { rs1, rs2, disp } => {
+                sys.store16(ip, ea(r, rs1, disp), r.get(rs2) as u16)?;
+                next
+            }
+            Instr::Sb { rs1, rs2, disp } => {
+                sys.store8(ip, ea(r, rs1, disp), r.get(rs2) as u8)?;
+                next
+            }
+            Instr::Push { rs } => {
+                port.store32(sys, ip, pushed, r.get(rs))?;
+                r.sp = pushed;
+                next
+            }
+            Instr::Pop { rd } => {
+                let v = port.load32(sys, ip, r.sp)?;
+                r.sp = popped;
+                r.set(rd, v);
+                next
+            }
+            Instr::Pushf => {
+                port.store32(sys, ip, pushed, r.flags.to_word())?;
+                r.sp = pushed;
+                next
+            }
+            Instr::Call { off } => {
+                port.store32(sys, ip, pushed, next)?;
+                r.sp = pushed;
+                next.wrapping_add(off as i32 as u32)
+            }
+            Instr::Callr { rs1 } => {
+                let target = r.get(rs1);
+                port.store32(sys, ip, pushed, next)?;
+                r.sp = pushed;
+                target
+            }
+            Instr::Ret => {
+                let target = port.load32(sys, ip, r.sp)?;
+                r.sp = popped;
+                target
+            }
+            _ => return Ok(None),
+        };
+        r.ip = new_ip;
+        let taken = if i.is_control_flow() {
+            costs::TAKEN_CF
+        } else {
+            0
+        };
+        Ok(Some(costs::BASE + costs::MEM_EXTRA + taken))
+    }
+
+    /// Executes one instruction for [`Machine::step`]: register-only ops
+    /// through [`Machine::exec_pure`], data-memory ops through
+    /// [`Machine::exec_mem`] with the full check, and the system
+    /// instructions — never block micro-ops — here.
     fn exec(&mut self, ip: u32, i: Instr) -> Result<Exec, Fault> {
-        if let Some(cost) = Self::exec_pure(&mut self.regs, ip, i) {
+        if let Some((next, cost)) = Self::exec_pure(&mut self.regs, ip, i) {
+            self.regs.ip = next;
+            return Ok(Exec::Done(cost));
+        }
+        if let Some(cost) = self.exec_mem(ip, i, Checked)? {
             return Ok(Exec::Done(cost));
         }
         let next = ip.wrapping_add(4);
@@ -1471,112 +1360,12 @@ impl Machine {
                 }
                 Ok(Exec::Done(costs::IRET_TOTAL))
             }
-            Instr::Lw { rd, rs1, disp } => {
-                let addr = r.get(rs1).wrapping_add(disp as i32 as u32);
-                let v = self.sys.load32(ip, addr)?;
-                self.regs.set(rd, v);
-                self.regs.ip = next;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
-            Instr::Sw { rs1, rs2, disp } => {
-                let addr = r.get(rs1).wrapping_add(disp as i32 as u32);
-                let v = r.get(rs2);
-                self.sys.store32(ip, addr, v)?;
-                self.regs.ip = next;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
-            Instr::Lb { rd, rs1, disp } => {
-                let addr = r.get(rs1).wrapping_add(disp as i32 as u32);
-                let v = self.sys.load8(ip, addr)?;
-                self.regs.set(rd, v as u32);
-                self.regs.ip = next;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
-            Instr::Lbs { rd, rs1, disp } => {
-                let addr = r.get(rs1).wrapping_add(disp as i32 as u32);
-                let v = self.sys.load8(ip, addr)?;
-                self.regs.set(rd, v as i8 as i32 as u32);
-                self.regs.ip = next;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
-            Instr::Lh { rd, rs1, disp } => {
-                let addr = r.get(rs1).wrapping_add(disp as i32 as u32);
-                let v = self.sys.load16(ip, addr)?;
-                self.regs.set(rd, v as u32);
-                self.regs.ip = next;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
-            Instr::Lhs { rd, rs1, disp } => {
-                let addr = r.get(rs1).wrapping_add(disp as i32 as u32);
-                let v = self.sys.load16(ip, addr)?;
-                self.regs.set(rd, v as i16 as i32 as u32);
-                self.regs.ip = next;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
-            Instr::Sh { rs1, rs2, disp } => {
-                let addr = r.get(rs1).wrapping_add(disp as i32 as u32);
-                let v = r.get(rs2) as u16;
-                self.sys.store16(ip, addr, v)?;
-                self.regs.ip = next;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
-            Instr::Sb { rs1, rs2, disp } => {
-                let addr = r.get(rs1).wrapping_add(disp as i32 as u32);
-                let v = r.get(rs2) as u8;
-                self.sys.store8(ip, addr, v)?;
-                self.regs.ip = next;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
-            Instr::Push { rs } => {
-                let v = r.get(rs);
-                let new_sp = r.sp.wrapping_sub(4);
-                self.sys.store32(ip, new_sp, v)?;
-                self.regs.sp = new_sp;
-                self.regs.ip = next;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
-            Instr::Pop { rd } => {
-                let v = self.sys.load32(ip, r.sp)?;
-                self.regs.sp = self.regs.sp.wrapping_add(4);
-                self.regs.set(rd, v);
-                self.regs.ip = next;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
-            Instr::Pushf => {
-                let v = r.flags.to_word();
-                let new_sp = r.sp.wrapping_sub(4);
-                self.sys.store32(ip, new_sp, v)?;
-                self.regs.sp = new_sp;
-                self.regs.ip = next;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
             Instr::Popf => {
                 let v = self.sys.load32(ip, r.sp)?;
                 self.regs.sp = self.regs.sp.wrapping_add(4);
                 self.regs.flags = Flags::from_word(v);
                 self.regs.ip = next;
                 Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
-            Instr::Call { off } => {
-                let new_sp = r.sp.wrapping_sub(4);
-                self.sys.store32(ip, new_sp, next)?;
-                self.regs.sp = new_sp;
-                self.regs.ip = next.wrapping_add(off as i32 as u32);
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA + costs::TAKEN_CF))
-            }
-            Instr::Callr { rs1 } => {
-                let target = r.get(rs1);
-                let new_sp = r.sp.wrapping_sub(4);
-                self.sys.store32(ip, new_sp, next)?;
-                self.regs.sp = new_sp;
-                self.regs.ip = target;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA + costs::TAKEN_CF))
-            }
-            Instr::Ret => {
-                let target = self.sys.load32(ip, r.sp)?;
-                self.regs.sp = self.regs.sp.wrapping_add(4);
-                self.regs.ip = target;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA + costs::TAKEN_CF))
             }
             Instr::Ext { op, rd, rs1, imm } => {
                 let mut ext = match self.ext.take() {
@@ -1595,22 +1384,7 @@ impl Machine {
                 self.regs.ip = next;
                 Ok(Exec::Done(costs::BASE + cost))
             }
-            Instr::Nop
-            | Instr::Alu { .. }
-            | Instr::Mov { .. }
-            | Instr::Not { .. }
-            | Instr::Addi { .. }
-            | Instr::Andi { .. }
-            | Instr::Ori { .. }
-            | Instr::Xori { .. }
-            | Instr::Shli { .. }
-            | Instr::Shri { .. }
-            | Instr::Srai { .. }
-            | Instr::Movi { .. }
-            | Instr::Lui { .. }
-            | Instr::Jmp { .. }
-            | Instr::Jr { .. }
-            | Instr::Branch { .. } => unreachable!("register-only ops are handled by exec_pure"),
+            _ => unreachable!("register-only and data-memory ops are handled above"),
         }
     }
 }

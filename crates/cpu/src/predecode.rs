@@ -49,7 +49,6 @@
 
 use std::sync::Arc;
 
-use crate::costs;
 use trustlite_isa::Instr;
 use trustlite_obs::Histogram;
 
@@ -274,9 +273,12 @@ pub struct MicroOp {
     pub word: u32,
     pub instr: Instr,
     /// True when the op generates no data-memory traffic (ALU, moves,
-    /// register jumps/branches) — decided once at build time so the Full
-    /// loop knows it may defer the fetch-replay event and emit it paired
-    /// with `InstrRetired` (nothing can be emitted in between).
+    /// register jumps/branches): `!Instr::is_memory()`, which among
+    /// block-eligible ops is exactly the set `Machine::exec_pure`
+    /// executes. Decided once at build time so the loop dispatches with
+    /// one predictable branch, and the Full loop knows it may defer the
+    /// fetch-replay event and emit it paired with `InstrRetired`
+    /// (nothing can be emitted in between).
     pub pure: bool,
     /// Number of consecutive *straight-pure* ops starting here (zero
     /// when this op is not itself straight-pure): register-only,
@@ -291,33 +293,6 @@ pub struct MicroOp {
     pub run_cost: u16,
     pub fetch: FetchMemo,
     pub data: DataMemo,
-}
-
-/// Static cycle cost of a register-only, non-control-flow op — the ops
-/// eligible for straight-pure runs — or `None` for anything that can
-/// branch, fault, or reach memory.
-pub(crate) fn straight_cost(i: &Instr) -> Option<u64> {
-    use trustlite_isa::instr::AluOp;
-    match i {
-        Instr::Alu { op, .. } => Some(match op {
-            AluOp::Mul => costs::BASE + costs::MUL_EXTRA,
-            AluOp::Divu | AluOp::Remu => costs::BASE + costs::DIV_EXTRA,
-            _ => costs::BASE,
-        }),
-        Instr::Nop
-        | Instr::Mov { .. }
-        | Instr::Not { .. }
-        | Instr::Addi { .. }
-        | Instr::Andi { .. }
-        | Instr::Ori { .. }
-        | Instr::Xori { .. }
-        | Instr::Shli { .. }
-        | Instr::Shri { .. }
-        | Instr::Srai { .. }
-        | Instr::Movi { .. }
-        | Instr::Lui { .. } => Some(costs::BASE),
-        _ => None,
-    }
 }
 
 #[derive(Clone)]

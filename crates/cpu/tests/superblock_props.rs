@@ -1,14 +1,21 @@
 //! Differential property test for the superblock trace engine: random
-//! instruction soups — ALU ops, loads, stores, stack traffic, forward
-//! skips and backward loops — run to the same step budget on the
-//! interpreted path and the superblock path, at every capture level,
-//! with MPU enforcement both off and on. The two paths must agree on
-//! registers, cycle/instret counters, a memory digest, the recorded
-//! event count (and, at Events and Full, every recorded event), the
-//! per-domain cycle attribution, the context-switch count and the
-//! recorder's clock mirror: the block engine has to be observably pure
-//! even on adversarial code shapes, including passes whose attribution
-//! it settles once per pass.
+//! instruction soups — every block-eligible opcode: ALU and immediate
+//! ops, moves, word/halfword/byte loads and stores, stack traffic,
+//! calls and returns, register jumps, forward skips and backward loops —
+//! run to the same step budget on the interpreted path and the
+//! superblock path, at every capture level, with MPU enforcement both
+//! off and on. Data displacements reach past both ends of the RW window
+//! and the memory base walks, so with enforcement on some accesses are
+//! denied, including by an op whose earlier accesses were granted; wild
+//! return and register-jump targets fault on fetch. Every fault vectors
+//! back to the soup's start through an IDT, so a run crosses the fault
+//! exits many times. The two paths must agree on registers,
+//! cycle/instret counters, a memory digest, the recorded event count
+//! (and, at Events and Full, every recorded event), the per-domain cycle
+//! attribution, the context-switch count, the recorder's clock mirror
+//! and the EA-MPU check, denial and per-slot grant counters: the block
+//! engine has to be observably pure even on adversarial code shapes,
+//! including passes whose attribution it settles once per pass.
 
 use proptest::prelude::*;
 use trustlite_cpu::{Engine, Machine, SystemBus};
@@ -20,28 +27,36 @@ use trustlite_obs::{Event, ObsLevel};
 
 const CODE: u32 = 0x1000_0000;
 const DATA: u32 = 0x1001_0000;
+/// Interrupt descriptor table: every vector enters the soup's start.
+const IDT: u32 = DATA + 0xc00;
+/// The OS stack-pointer cell the exception engine reloads `sp` from.
+const OS_SP_CELL: u32 = DATA + 0xff0;
+const STACK_TOP: u32 = DATA + 0x800;
 const STEPS: u64 = 400;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Alu(AluOp, Reg, Reg, Reg),
-    Addi(Reg, Reg, i16),
-    Movi(Reg, i16),
-    Shli(Reg, Reg, u8),
-    Xori(Reg, Reg, u16),
-    /// Load/store through R6, which is pinned to the data window.
-    Lw(Reg, u16),
-    Sw(Reg, u16),
-    Push(Reg),
-    Pop(Reg),
+    /// An instruction encoded as generated. Memory operands go through
+    /// R6, which starts at the data window and moves only by
+    /// `StepBase`; register jumps through R7 land on the soup's start.
+    Plain(Instr),
     /// Forward skip over `n` following instructions.
     SkipIf(Cond, Reg, Reg, u8),
     /// Backward branch `n` instructions — a loop seed, bounded by the
     /// step budget.
     LoopIf(Cond, Reg, Reg, u8),
+    /// Unconditional jump over `n` following instructions.
+    Jmp(u8),
+    /// Call over `n` following instructions (a later `ret` may or may
+    /// not find its return address).
+    Call(u8),
+    /// Moves the memory base R6 by `4 * k` bytes, so one load or store
+    /// in a loop walks across the edges of its memoised grant window.
+    StepBase(i16),
 }
 
-/// Destination registers exclude R6 so the memory base stays pinned.
+/// Destination registers exclude R6 and R7 so the memory base and the
+/// jump target stay under the soup's control.
 fn dst() -> impl Strategy<Value = Reg> {
     (0u32..6).prop_map(|c| Reg::from_code(c).expect("gpr"))
 }
@@ -54,22 +69,96 @@ fn cond() -> impl Strategy<Value = Cond> {
     (0usize..Cond::ALL.len()).prop_map(|c| Cond::ALL[c])
 }
 
-fn any_op() -> impl Strategy<Value = Op> {
+/// Word displacements off R6: mostly aligned inside the RW window,
+/// some above or below it (MPU-denied with enforcement on), a few
+/// misaligned (bus faults).
+fn word_disp() -> impl Strategy<Value = i16> {
     prop_oneof![
-        ((0usize..AluOp::ALL.len()), dst(), src(), src()).prop_map(|(a, rd, rs1, rs2)| Op::Alu(
-            AluOp::ALL[a],
+        (0i16..0x100).prop_map(|w| w * 4),
+        (0i16..0x100).prop_map(|w| w * 4),
+        (0x400i16..0x440).prop_map(|w| w * 4),
+        (-0x40i16..0).prop_map(|w| w * 4),
+        0i16..0x400,
+    ]
+}
+
+/// Byte/halfword displacements off R6: any alignment, inside and
+/// outside the RW window.
+fn narrow_disp() -> impl Strategy<Value = i16> {
+    prop_oneof![0i16..0x400, 0i16..0x400, 0x1000i16..0x1100, -0x100i16..0]
+}
+
+fn any_op() -> impl Strategy<Value = Op> {
+    use Instr as I;
+    prop_oneof![
+        ((0usize..AluOp::ALL.len()), dst(), src(), src()).prop_map(|(a, rd, rs1, rs2)| {
+            Op::Plain(I::Alu {
+                op: AluOp::ALL[a],
+                rd,
+                rs1,
+                rs2,
+            })
+        }),
+        (dst(), src()).prop_map(|(rd, rs1)| Op::Plain(I::Mov { rd, rs1 })),
+        (dst(), src()).prop_map(|(rd, rs1)| Op::Plain(I::Not { rd, rs1 })),
+        (dst(), src(), any::<i16>()).prop_map(|(rd, rs1, imm)| Op::Plain(I::Addi { rd, rs1, imm })),
+        (dst(), src(), any::<u16>()).prop_map(|(rd, rs1, imm)| Op::Plain(I::Andi { rd, rs1, imm })),
+        (dst(), src(), any::<u16>()).prop_map(|(rd, rs1, imm)| Op::Plain(I::Ori { rd, rs1, imm })),
+        (dst(), src(), any::<u16>()).prop_map(|(rd, rs1, imm)| Op::Plain(I::Xori { rd, rs1, imm })),
+        (dst(), src(), 0u8..32).prop_map(|(rd, rs1, imm)| Op::Plain(I::Shli { rd, rs1, imm })),
+        (dst(), src(), 0u8..32).prop_map(|(rd, rs1, imm)| Op::Plain(I::Shri { rd, rs1, imm })),
+        (dst(), src(), 0u8..32).prop_map(|(rd, rs1, imm)| Op::Plain(I::Srai { rd, rs1, imm })),
+        (dst(), any::<i16>()).prop_map(|(rd, imm)| Op::Plain(I::Movi { rd, imm })),
+        (dst(), any::<u16>()).prop_map(|(rd, imm)| Op::Plain(I::Lui { rd, imm })),
+        (dst(), word_disp()).prop_map(|(rd, disp)| Op::Plain(I::Lw {
             rd,
-            rs1,
-            rs2
-        )),
-        (dst(), src(), any::<i16>()).prop_map(|(rd, rs1, v)| Op::Addi(rd, rs1, v)),
-        (dst(), any::<i16>()).prop_map(|(rd, v)| Op::Movi(rd, v)),
-        (dst(), src(), 0u8..32).prop_map(|(rd, rs1, v)| Op::Shli(rd, rs1, v)),
-        (dst(), src(), any::<u16>()).prop_map(|(rd, rs1, v)| Op::Xori(rd, rs1, v)),
-        (dst(), 0u16..0x100).prop_map(|(rd, w)| Op::Lw(rd, w * 4)),
-        (src(), 0u16..0x100).prop_map(|(rs, w)| Op::Sw(rs, w * 4)),
-        src().prop_map(Op::Push),
-        dst().prop_map(Op::Pop),
+            rs1: Reg::R6,
+            disp
+        })),
+        (src(), word_disp()).prop_map(|(rs2, disp)| Op::Plain(I::Sw {
+            rs1: Reg::R6,
+            rs2,
+            disp
+        })),
+        (dst(), narrow_disp()).prop_map(|(rd, disp)| Op::Plain(I::Lb {
+            rd,
+            rs1: Reg::R6,
+            disp
+        })),
+        (dst(), narrow_disp()).prop_map(|(rd, disp)| Op::Plain(I::Lbs {
+            rd,
+            rs1: Reg::R6,
+            disp
+        })),
+        (dst(), narrow_disp()).prop_map(|(rd, disp)| Op::Plain(I::Lh {
+            rd,
+            rs1: Reg::R6,
+            disp
+        })),
+        (dst(), narrow_disp()).prop_map(|(rd, disp)| Op::Plain(I::Lhs {
+            rd,
+            rs1: Reg::R6,
+            disp
+        })),
+        (src(), narrow_disp()).prop_map(|(rs2, disp)| Op::Plain(I::Sb {
+            rs1: Reg::R6,
+            rs2,
+            disp
+        })),
+        (src(), narrow_disp()).prop_map(|(rs2, disp)| Op::Plain(I::Sh {
+            rs1: Reg::R6,
+            rs2,
+            disp
+        })),
+        src().prop_map(|rs| Op::Plain(I::Push { rs })),
+        dst().prop_map(|rd| Op::Plain(I::Pop { rd })),
+        Just(Op::Plain(I::Pushf)),
+        Just(Op::Plain(I::Ret)),
+        src().prop_map(|rs1| Op::Plain(I::Jr { rs1 })),
+        src().prop_map(|rs1| Op::Plain(I::Callr { rs1 })),
+        (1u8..4).prop_map(Op::Jmp),
+        (1u8..4).prop_map(Op::Call),
+        (-16i16..16).prop_map(Op::StepBase),
         (cond(), src(), src(), 1u8..4).prop_map(|(c, a, b, n)| Op::SkipIf(c, a, b, n)),
         (cond(), src(), src(), 1u8..12).prop_map(|(c, a, b, n)| Op::LoopIf(c, a, b, n)),
     ]
@@ -79,47 +168,28 @@ fn any_op() -> impl Strategy<Value = Op> {
 fn encode_soup(ops: &[Op]) -> Vec<u8> {
     let mut words = Vec::new();
     for (i, &op) in ops.iter().enumerate() {
+        let ahead = |n: u8| 4 * (n as usize).min(ops.len() - i) as i16;
         let instr = match op {
-            Op::Alu(a, rd, rs1, rs2) => Instr::Alu {
-                op: a,
-                rd,
+            Op::Plain(instr) => instr,
+            Op::SkipIf(cond, rs1, rs2, n) => Instr::Branch {
+                cond,
                 rs1,
                 rs2,
+                off: ahead(n),
             },
-            Op::Addi(rd, rs1, imm) => Instr::Addi { rd, rs1, imm },
-            Op::Movi(rd, imm) => Instr::Movi { rd, imm },
-            Op::Shli(rd, rs1, imm) => Instr::Shli { rd, rs1, imm },
-            Op::Xori(rd, rs1, imm) => Instr::Xori { rd, rs1, imm },
-            Op::Lw(rd, off) => Instr::Lw {
-                rd,
+            Op::LoopIf(cond, rs1, rs2, n) => Instr::Branch {
+                cond,
+                rs1,
+                rs2,
+                off: -4 * (n as usize).min(i + 1) as i16,
+            },
+            Op::Jmp(n) => Instr::Jmp { off: ahead(n) },
+            Op::Call(n) => Instr::Call { off: ahead(n) },
+            Op::StepBase(k) => Instr::Addi {
+                rd: Reg::R6,
                 rs1: Reg::R6,
-                disp: off as i16,
+                imm: 4 * k,
             },
-            Op::Sw(rs, off) => Instr::Sw {
-                rs1: Reg::R6,
-                rs2: rs,
-                disp: off as i16,
-            },
-            Op::Push(rs) => Instr::Push { rs },
-            Op::Pop(rd) => Instr::Pop { rd },
-            Op::SkipIf(c, rs1, rs2, n) => {
-                let n = (n as usize).min(ops.len() - i) as i16;
-                Instr::Branch {
-                    cond: c,
-                    rs1,
-                    rs2,
-                    off: 4 * n,
-                }
-            }
-            Op::LoopIf(c, rs1, rs2, n) => {
-                let n = (n as usize).min(i + 1) as i16;
-                Instr::Branch {
-                    cond: c,
-                    rs1,
-                    rs2,
-                    off: -4 * n,
-                }
-            }
         };
         words.extend_from_slice(&encode(instr).to_le_bytes());
     }
@@ -143,6 +213,8 @@ struct Observed {
     attribution: Vec<(String, u64)>,
     switches: u64,
     now: u64,
+    /// EA-MPU hardware counters: checks, denials, per-slot grants.
+    mpu: (u64, u64, Vec<u64>),
 }
 
 fn run_soup(
@@ -155,6 +227,9 @@ fn run_soup(
     let mut bus = Bus::new();
     bus.map(CODE, Box::new(Ram::new("sram", 0x2_0000))).unwrap();
     assert!(bus.host_load(CODE, image));
+    let idt: Vec<u8> = (0..32).flat_map(|_| CODE.to_le_bytes()).collect();
+    assert!(bus.host_load(IDT, &idt));
+    assert!(bus.host_load(OS_SP_CELL, &STACK_TOP.to_le_bytes()));
     let mut mpu = EaMpu::new(8);
     // Code may execute and read itself; its data window is RW.
     mpu.set_rule(
@@ -192,9 +267,12 @@ fn run_soup(
         .register("tail", &[(CODE + 0x20, CODE + 0x1000)]);
     sys.set_engine(engine);
     let mut m = Machine::new(sys, CODE);
+    m.hw.idt_base = IDT;
+    m.hw.os_sp_cell = OS_SP_CELL;
     m.regs.gprs = init;
     m.regs.set(Reg::R6, DATA); // memory base
-    m.regs.set(Reg::Sp, DATA + 0x800);
+    m.regs.set(Reg::R7, CODE); // register-jump target
+    m.regs.set(Reg::Sp, STACK_TOP);
     let _ = m.run(STEPS);
     let mem = m.sys.bus.read_bytes(CODE, 0x2_0000).expect("ram readable");
     Observed {
@@ -209,6 +287,11 @@ fn run_soup(
         attribution: m.sys.obs.attr.report(),
         switches: m.sys.obs.attr.switch_count(),
         now: m.sys.obs.now(),
+        mpu: (
+            m.sys.mpu.check_count(),
+            m.sys.mpu.deny_count(),
+            m.sys.mpu.slot_hits().to_vec(),
+        ),
     }
 }
 
@@ -246,6 +329,7 @@ proptest! {
                 "{:?}/{}: context switches", level, enforce
             );
             prop_assert_eq!(block.now, slow.now, "{:?}/{}: clock mirror", level, enforce);
+            prop_assert_eq!(block.mpu, slow.mpu, "{:?}/{}: MPU counters", level, enforce);
         }
     }
 }

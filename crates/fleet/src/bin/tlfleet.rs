@@ -31,6 +31,7 @@
 //! (`--failure-budget`, default 8). `--rollback-report` additionally
 //! prints each device's campaign outcome and the update counters.
 
+use trustlite::TrustliteError;
 use trustlite_chaos::ChaosConfig;
 use trustlite_fleet::{chrome_trace, trace_jsonl, CampaignConfig, Fleet, FleetConfig, TraceLevel};
 use trustlite_obs::ObsLevel;
@@ -161,6 +162,10 @@ fn main() {
     });
     let fleet = match Fleet::boot(cfg) {
         Ok(f) => f,
+        Err(e @ TrustliteError::UnknownWorkload(_)) => {
+            eprintln!("tlfleet: {e}");
+            usage();
+        }
         Err(e) => {
             eprintln!("tlfleet: boot failed: {e}");
             std::process::exit(1);

@@ -8,7 +8,7 @@ use std::time::Instant;
 use trustlite::attest::{self, Challenge, Response};
 use trustlite::{Platform, TrustliteError};
 use trustlite_bench::state_digest;
-use trustlite_bench::throughput::build_workload;
+use trustlite_bench::throughput::{build_workload, WORKLOADS};
 use trustlite_chaos::{ChaosConfig, DeviceRole, FaultPlan, RoundFault};
 use trustlite_crypto::sha256;
 use trustlite_obs::{
@@ -280,6 +280,9 @@ impl Fleet {
         }
         if cfg.rounds == 0 {
             return Err(TrustliteError::DegenerateFleet { what: "rounds" });
+        }
+        if !WORKLOADS.contains(&cfg.workload.as_str()) {
+            return Err(TrustliteError::UnknownWorkload(cfg.workload));
         }
         let mut master = build_workload(&cfg.workload, cfg.level);
         prepare(&mut master)?;
@@ -942,6 +945,18 @@ mod tests {
         .err()
         .expect("rounds == 0 must not boot");
         assert_eq!(err, TrustliteError::DegenerateFleet { what: "rounds" });
+    }
+
+    #[test]
+    fn unknown_workload_is_a_named_error() {
+        let err = Fleet::boot(FleetConfig {
+            workload: "nope".into(),
+            ..FleetConfig::default()
+        })
+        .err()
+        .expect("an unknown workload must not boot");
+        assert_eq!(err, TrustliteError::UnknownWorkload("nope".into()));
+        assert_eq!(err.to_string(), "unknown workload `nope`");
     }
 
     /// ROADMAP "Malicious-device round": a device with a tampered

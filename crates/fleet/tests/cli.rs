@@ -53,6 +53,26 @@ fn zero_rounds_is_a_named_boot_failure() {
 }
 
 #[test]
+fn unknown_workload_is_a_usage_error_not_a_panic() {
+    let out = tlfleet()
+        .args(["--workload", "nope"])
+        .output()
+        .expect("spawn tlfleet");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "an unknown workload is a usage error"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown workload `nope`"),
+        "stderr: {stderr}"
+    );
+    assert!(stderr.contains("usage: tlfleet"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
 fn expect_matching_digest_succeeds() {
     let out = tlfleet()
         .args(SMALL)
